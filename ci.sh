@@ -121,8 +121,19 @@ wait "$serverd_pid"
 rm -f semcor_serverd.port
 rm -rf ci_wal_e10
 test -s BENCH_E10.json
+# One round trip per transaction: every inbound frame is an EXEC, a re-sent
+# EXEC after BUSY, a re-sent COMMIT after kBlocked, or a session frame. A
+# regression to per-statement round trips (~3 frames/txn) fails here.
 if command -v python3 >/dev/null 2>&1; then
-  python3 -c 'import json; json.load(open("BENCH_E10.json"))'
+  python3 - <<'EOF'
+import json
+r = json.load(open("BENCH_E10.json"))
+txns = r["committed"] + r["aborted"]
+budget = (txns + r["busy_retries"] + r["blocked_retries"]
+          + r["client_session_frames"])
+assert txns > 0, r
+assert r["server_frames_in"] <= budget, (r["server_frames_in"], budget, r)
+EOF
 fi
 
 # Crash-recovery stage: the daemon serves from a WAL directory, dies by

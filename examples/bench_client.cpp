@@ -268,6 +268,12 @@ int main(int argc, char** argv) {
   json.Scalar("server_deadlock_victims", stats.Counter("deadlock_victims"));
   json.Scalar("server_admission_rejected", stats.Counter("admission_rejected"));
   json.Scalar("server_invariant_ok", invariant_ok);
+  // Frame accounting: RunTxn sends one EXEC per attempt, so frames_in is
+  // bounded by the transactions, their BUSY/kBlocked re-sends, and this
+  // client's own session frames (a HELLO per thread, the control HELLO and
+  // this STATS) — the ci.sh E10 stage gates on it.
+  json.Scalar("server_frames_in", stats.Counter("frames_in"));
+  json.Scalar("client_session_frames", static_cast<long>(threads) + 2);
   // Durability counters: all zero when the server runs memory-only (the
   // counters are simply absent from STATS and Counter() defaults to 0).
   json.Scalar("server_wal_appends", stats.Counter("wal_appends"));

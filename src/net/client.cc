@@ -155,6 +155,10 @@ uint32_t Client::NextBackoffMs(int attempt, uint32_t server_hint_ms) {
 
 Result<Frame> Client::Call(MsgType type, const std::string& payload) {
   if (Status s = SendFrame(type, payload); !s.ok()) return s;
+  return NextResponse();
+}
+
+Result<Frame> Client::NextResponse() {
   for (;;) {
     Frame frame;
     if (Status s = RecvFrame(&frame); !s.ok()) return s;
@@ -189,31 +193,35 @@ Result<HelloResp> Client::Hello() {
   return HelloResp::Decode(frame.value().payload);
 }
 
-Result<BeginResult> Client::Begin(
+namespace {
+
+std::string EncodeBegin(
     const std::string& txn_type, uint8_t level,
     const std::vector<std::pair<std::string, int64_t>>& params) {
   BeginReq req;
   req.txn_type = txn_type;
   req.requested_level = level;
   req.params = params;
-  Result<Frame> frame = Call(MsgType::kBegin, req.Encode());
-  if (!frame.ok()) return frame.status();
+  return req.Encode();
+}
+
+/// The answer to BEGIN, or the first answer to EXEC: BEGIN_OK, or BUSY when
+/// the server did not admit the transaction.
+Result<BeginResult> AsBeginResult(const Frame& frame) {
   BeginResult result;
-  if (frame.value().type == MsgType::kBusy) {
-    Result<BusyResp> busy = BusyResp::Decode(frame.value().payload);
+  if (frame.type == MsgType::kBusy) {
+    Result<BusyResp> busy = BusyResp::Decode(frame.payload);
     if (!busy.ok()) return busy.status();
     result.retry_after_ms = busy.value().retry_after_ms;
     return result;  // admitted == false
   }
-  if (frame.value().type != MsgType::kBeginOk) return Unexpected(frame.value());
-  Result<BeginResp> resp = BeginResp::Decode(frame.value().payload);
+  if (frame.type != MsgType::kBeginOk) return Unexpected(frame);
+  Result<BeginResp> resp = BeginResp::Decode(frame.payload);
   if (!resp.ok()) return resp.status();
   result.admitted = true;
   result.resp = resp.take();
   return result;
 }
-
-namespace {
 
 /// Shared tail for STMT/COMMIT/ABORT: a step report, or one of the frames
 /// that fold into it — BUSY (session queue backpressure) becomes kBlocked;
@@ -253,6 +261,15 @@ Result<StepResp> AsStepReport(const Frame& frame) {
 }
 
 }  // namespace
+
+Result<BeginResult> Client::Begin(
+    const std::string& txn_type, uint8_t level,
+    const std::vector<std::pair<std::string, int64_t>>& params) {
+  Result<Frame> frame =
+      Call(MsgType::kBegin, EncodeBegin(txn_type, level, params));
+  if (!frame.ok()) return frame.status();
+  return AsBeginResult(frame.value());
+}
 
 Result<StepResp> Client::Stmt(uint32_t max_steps) {
   StmtReq req;
@@ -306,9 +323,13 @@ Result<TxnResult> Client::RunTxn(
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   };
 
-  // BEGIN, absorbing admission-control pushback.
+  // EXEC: BEGIN, body and COMMIT in one round trip. BUSY means the server
+  // did not admit the transaction; re-send the EXEC after a nap.
+  const std::string exec = EncodeBegin(txn_type, level, params);
   for (;;) {
-    Result<BeginResult> begin = Begin(txn_type, level, params);
+    Result<Frame> frame = Call(MsgType::kExec, exec);
+    if (!frame.ok()) return frame.status();
+    Result<BeginResult> begin = AsBeginResult(frame.value());
     if (!begin.ok()) return begin.status();
     if (begin.value().admitted) {
       const BeginResp& resp = begin.value().resp;
@@ -325,25 +346,25 @@ Result<TxnResult> Client::RunTxn(
   }
   attempt = 0;
 
-  // Step the body, then commit. kBlocked and BUSY both mean "retry after a
-  // nap"; the server's bounded-wait policy (and, with deadlines enabled,
-  // the statement timeout) guarantees this terminates.
-  bool committing = false;
+  // The step report follows BEGIN_OK. kBlocked leaves the transaction open:
+  // re-send COMMIT, which runs the rest of the body and commits. The
+  // server's bounded-wait policy (and, with deadlines enabled, the statement
+  // timeout) guarantees this terminates.
+  Result<Frame> report = NextResponse();
+  if (!report.ok()) return report.status();
+  Result<StepResp> step = AsStepReport(report.value());
   for (;;) {
-    Result<StepResp> step = committing ? Commit() : Stmt();
     if (!step.ok()) return step.status();
     const StepResp& r = step.value();
     switch (static_cast<StepWire>(r.outcome)) {
-      case StepWire::kRunning:
-        attempt = 0;
-        break;
       case StepWire::kBlocked:
         result.blocked_retries++;
         backoff(r.retry_after_ms);
         break;
+      case StepWire::kRunning:
       case StepWire::kBodyDone:
+        // Neither EXEC nor COMMIT stops early; COMMIT finishes the run.
         attempt = 0;
-        committing = true;
         break;
       case StepWire::kCommitted:
       case StepWire::kAborted:
@@ -358,6 +379,7 @@ Result<TxnResult> Client::RunTxn(
                 .count();
         return result;
     }
+    step = Commit();
   }
 }
 

@@ -27,8 +27,9 @@ struct ClientOptions {
   uint64_t backoff_seed = 1;
 };
 
-/// BEGIN outcome: either a transaction slot (resp valid) or a backpressure
-/// signal (admitted == false, retry after the hint).
+/// BEGIN (or EXEC admission) outcome: either a transaction slot (resp
+/// valid) or a backpressure signal (admitted == false, retry after the
+/// hint).
 struct BeginResult {
   bool admitted = false;
   uint32_t retry_after_ms = 0;
@@ -79,10 +80,11 @@ class Client {
   Result<StatsResp> Stats();
   Status Shutdown();
 
-  /// Drives one transaction to a terminal state: absorbs BUSY (admission or
-  /// queue backpressure) and kBlocked reports by sleeping for the server's
-  /// retry hint and retrying, steps the body, then commits. Gives up after
-  /// `max_busy_retries` consecutive BUSY responses.
+  /// Drives one transaction to a terminal state in one EXEC round trip
+  /// (BEGIN, body and COMMIT server-side). Absorbs BUSY (admission or queue
+  /// backpressure) by sleeping for the server's retry hint and re-sending
+  /// the EXEC, and a kBlocked report by sleeping and re-sending COMMIT.
+  /// Gives up after `max_busy_retries` consecutive BUSY responses.
   Result<TxnResult> RunTxn(
       const std::string& txn_type, uint8_t level,
       const std::vector<std::pair<std::string, int64_t>>& params = {},
@@ -106,6 +108,9 @@ class Client {
   /// noted (timed_out_) and skipped, idle timeouts fail the call — the
   /// server is closing this connection.
   Result<Frame> Call(MsgType type, const std::string& payload);
+  /// Call's receive half: the next response frame, with the same TIMEOUT
+  /// handling. EXEC uses it for the step report that follows BEGIN_OK.
+  Result<Frame> NextResponse();
 
   ClientOptions options_;
   int fd_ = -1;

@@ -62,6 +62,20 @@ std::string TimeoutFrame(TimeoutKind kind, const std::string& detail) {
   return EncodeFrame(MsgType::kTimeout, resp.Encode());
 }
 
+/// Frames in an encoded reply: one, except EXEC's BEGIN_OK + step report.
+long CountFrames(const std::string& bytes) {
+  long frames = 0;
+  for (size_t pos = 0; pos + 4 <= bytes.size(); ++frames) {
+    uint32_t body = 0;
+    for (int i = 0; i < 4; ++i) {
+      body |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[pos + i]))
+              << (8 * i);
+    }
+    pos += 4u + body;
+  }
+  return frames;
+}
+
 double PercentileUs(std::vector<double> v, double p) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
@@ -653,7 +667,7 @@ void Server::ServeSession(const std::shared_ptr<Session>& session) {
       if (!resp.empty() && !session->closed) {
         session->outbox += resp;
         std::lock_guard<std::mutex> mlock(metrics_->mu);
-        metrics_->data.frames_out++;
+        metrics_->data.frames_out += CountFrames(resp);
       }
     }
   }
@@ -666,6 +680,17 @@ std::string Server::Dispatch(Session& session, const Frame& frame) {
       return HandleHello(session, frame);
     case MsgType::kBegin:
       return HandleBegin(session, frame);
+    case MsgType::kExec: {
+      // One round trip: admit, then run the body through COMMIT in this
+      // same worker pass. Both answers go out in one outbox write. A
+      // transaction that was not admitted gets HandleBegin's lone BUSY or
+      // ERROR (including kBadState when one is already active).
+      const bool idle = !session.run;
+      std::string reply = HandleBegin(session, frame);
+      if (!idle || !session.run) return reply;
+      return reply +
+             HandleStep(session, UINT32_MAX, /*stop_before_commit=*/false);
+    }
     case MsgType::kStmt: {
       Result<StmtReq> req = StmtReq::Decode(frame.payload);
       if (!req.ok()) {
@@ -858,8 +883,7 @@ std::string Server::HandleBegin(Session& session, const Frame& frame) {
     resp.verdict = SummarizeAdvice(advice_it->second);
   }
 
-  session.run = std::make_unique<ProgramRun>(&mgr_, std::move(program), level,
-                                             &log_);
+  session.run = std::make_unique<ProgramRun>(&mgr_, std::move(program), level);
   session.txn_type = type;
   session.level_idx = static_cast<int>(level);
   session.blocked_streak = 0;

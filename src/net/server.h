@@ -139,7 +139,9 @@ struct ServerMetricsSnapshot {
 /// the shared TxnManager with try-lock steps so no worker ever parks inside
 /// the lock manager — a blocked statement becomes a kBlocked response with a
 /// retry-after hint, and persistent blocking becomes a bounded-wait victim
-/// abort. BEGIN negotiates the isolation level per session: an explicit
+/// abort. EXEC runs BEGIN, the body and COMMIT in one request, so a client
+/// that does not step statements pays one round trip per transaction.
+/// BEGIN (and EXEC) negotiates the isolation level per session: an explicit
 /// level is honoured (and flagged when the static analysis rejects it), and
 /// kNegotiateLevel runs the paper's §5 procedure from an IncrementalAdvisor
 /// whose memoized pair cache is computed at startup (and stays warm for any
@@ -250,7 +252,6 @@ class Server {
   Store store_;
   LockManager locks_;
   TxnManager mgr_{&store_, &locks_};
-  CommitLog log_;
   std::unique_ptr<wal::WriteAheadLog> wal_;
   wal::RecoveryResult recovery_;
   /// Incremental §5 checker: hash-consed decision memo + per-(pair, level)

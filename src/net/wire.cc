@@ -37,6 +37,7 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kShutdown: return "SHUTDOWN";
     case MsgType::kShutdownOk: return "SHUTDOWN_OK";
     case MsgType::kTimeout: return "TIMEOUT";
+    case MsgType::kExec: return "EXEC";
   }
   return "?";
 }

@@ -17,8 +17,10 @@ namespace semcor::net {
 /// version; the server rejects mismatches with kError so an incompatible
 /// client fails fast instead of mis-parsing frames. v2 added the TIMEOUT
 /// frame, which the server may send unsolicited — a v1 client would treat
-/// it as garbage, hence the bump.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// it as garbage, hence the bump. v3 added EXEC, whose answer is two frames
+/// (BEGIN_OK then the step report) — a v2 peer would read one and fall out
+/// of step.
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Hard cap on one frame body (type byte + payload). Anything larger is a
 /// protocol error: the parser refuses to buffer it, so a hostile 4-byte
@@ -48,6 +50,11 @@ enum class MsgType : uint8_t {
   kShutdown = 13,    ///< c->s: ask the server to stop (bench/CI convenience)
   kShutdownOk = 14,  ///< s->c
   kTimeout = 15,     ///< s->c: a deadline fired (may arrive unsolicited)
+  /// c->s: BEGIN + body + COMMIT in one request (payload: BeginReq). Answer:
+  /// BEGIN_OK followed by the step report (or TIMEOUT/ERROR), or a lone
+  /// BUSY/ERROR when the transaction was not admitted. A kBlocked report
+  /// leaves the transaction open; the client re-sends COMMIT.
+  kExec = 16,
 };
 
 const char* MsgTypeName(MsgType type);
@@ -160,6 +167,7 @@ struct HelloResp {
   static Result<HelloResp> Decode(std::string_view payload);
 };
 
+/// Payload of both BEGIN and EXEC.
 struct BeginReq {
   /// Transaction type to run; empty = the server draws one from its
   /// workload mix (using the session's seeded RNG).

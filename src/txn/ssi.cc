@@ -25,11 +25,15 @@ struct CommitRank {
 
 }  // namespace
 
-void SsiTracker::Register(TxnId id, Timestamp snapshot_ts, bool read_only) {
+Timestamp SsiTracker::Register(
+    TxnId id, const std::function<Timestamp()>& snapshot_clock,
+    bool read_only) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Opportunistic GC. With no SSI transaction in flight nothing already
+  const Timestamp snapshot_ts = snapshot_clock();
+  // Opportunistic GC. Every committed record predates this snapshot (see
+  // the header), so with no other SSI transaction in flight nothing already
   // committed can join a new dangerous structure whose failure was not
-  // already decided, so the graph restarts empty; otherwise committed
+  // already decided, and the graph restarts empty; otherwise committed
   // transactions that predate every active snapshot and touch no edge are
   // individually unreachable.
   bool any_active = false;
@@ -58,6 +62,7 @@ void SsiTracker::Register(TxnId id, Timestamp snapshot_ts, bool read_only) {
   rec = TxnRec();
   rec.snapshot_ts = snapshot_ts;
   rec.read_only = read_only;
+  return snapshot_ts;
 }
 
 Status SsiTracker::GateLocked(TxnId id) {
@@ -262,21 +267,22 @@ Status SsiTracker::OnRowWrite(TxnId id, const std::string& table,
   return CheckStructuresLocked(id, /*acting_committing=*/false);
 }
 
-Status SsiTracker::PreCommit(TxnId id) {
+Result<Timestamp> SsiTracker::Commit(
+    TxnId id, const std::function<Result<Timestamp>()>& apply) {
   std::lock_guard<std::mutex> lock(mu_);
   Status gate = GateLocked(id);
   if (!gate.ok()) return gate;
-  return CheckStructuresLocked(id, /*acting_committing=*/true);
-}
-
-void SsiTracker::OnCommit(TxnId id, Timestamp commit_ts) {
-  std::lock_guard<std::mutex> lock(mu_);
+  Status check = CheckStructuresLocked(id, /*acting_committing=*/true);
+  if (!check.ok()) return check;
+  Result<Timestamp> ts = apply();
+  if (!ts.ok()) return ts;
   auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  it->second.commit_ts = commit_ts;
+  if (it == txns_.end()) return ts;
+  it->second.commit_ts = ts.value();
   // Structures in which this commit is the first (this txn as Tout with an
   // active pivot) become failures exactly now; the pivot pays.
   (void)CheckStructuresLocked(id, /*acting_committing=*/false);
+  return ts;
 }
 
 void SsiTracker::OnAbort(TxnId id) {

@@ -1,7 +1,9 @@
 #ifndef SEMCOR_TXN_SSI_H_
 #define SEMCOR_TXN_SSI_H_
 
+#include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -45,14 +47,23 @@ struct SsiCounters {
 /// ordered maps so decisions are deterministic for a given schedule.
 class SsiTracker {
  public:
-  /// Starts tracking an SSI transaction (called at Begin). `read_only`
-  /// enables the Cahill READ ONLY optimization for this transaction: as the
-  /// in-conflict of a dangerous structure it cannot produce an anomaly
-  /// unless the out-conflict committed before its snapshot, so the
-  /// conservative rule's other firings are skipped rather than counted as
-  /// false-positive aborts. The declaration is revoked on its first actual
-  /// write.
-  void Register(TxnId id, Timestamp snapshot_ts, bool read_only = false);
+  /// Starts tracking an SSI transaction (called at Begin) and returns its
+  /// snapshot timestamp, read from `snapshot_clock` under the tracker's
+  /// mutex. Reading it there is what keeps garbage collection sound: a
+  /// commit reaches the store before Commit records it, so every
+  /// transaction the tracker knows as committed is visible to this snapshot
+  /// and to every later one, and dropping it cannot lose a
+  /// rw-antidependency. A snapshot
+  /// read before the lock could miss a commit whose record this call then
+  /// drops — write skew would commit unseen. `read_only` enables the Cahill
+  /// READ ONLY optimization for this transaction: as the in-conflict of a
+  /// dangerous structure it cannot produce an anomaly unless the
+  /// out-conflict committed before its snapshot, so the conservative
+  /// rule's other firings are skipped rather than counted as false-positive
+  /// aborts. The declaration is revoked on its first actual write.
+  Timestamp Register(TxnId id,
+                     const std::function<Timestamp()>& snapshot_clock,
+                     bool read_only = false);
 
   /// Fails with Status::Conflict when `id` was marked for serialization
   /// failure (doomed). Checked at the head of every operation and commit.
@@ -68,14 +79,19 @@ class SsiTracker {
                     const std::optional<Tuple>& old_image,
                     const std::optional<Tuple>& new_image);
 
-  /// Commit-time rule: fails (Conflict) when committing `id` now would
-  /// complete a dangerous structure in which `id` is the pivot or the
-  /// in-conflict — i.e. the structure's Tout already committed first.
-  /// On Ok the caller proceeds with the snapshot commit and then reports
-  /// OnCommit; structures where `id` is the Tout doom their (still active)
-  /// pivots at that point instead.
-  Status PreCommit(TxnId id);
-  void OnCommit(TxnId id, Timestamp commit_ts);
+  /// Commits `id`. Fails (Conflict) without calling `apply` when `id` is
+  /// doomed or committing it now would complete a dangerous structure in
+  /// which it is the pivot or the in-conflict — i.e. the structure's Tout
+  /// already committed first. Otherwise runs `apply` (the store commit,
+  /// yielding the commit timestamp) and, if that succeeds, records the
+  /// commit; structures where `id` is the Tout doom their still-active
+  /// pivots then. All of it holds the mutex, so no other transaction's
+  /// check sees `id` committed in the store but still active here — a
+  /// pivot in that state cannot be doomed any more, and its partner's
+  /// commit would slip through. A failed `apply` leaves `id` registered;
+  /// the caller aborts it.
+  Result<Timestamp> Commit(TxnId id,
+                           const std::function<Result<Timestamp>()>& apply);
   void OnAbort(TxnId id);
 
   SsiCounters counters() const;

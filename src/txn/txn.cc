@@ -40,11 +40,14 @@ std::unique_ptr<Txn> TxnManager::Begin(IsoLevel level, bool read_only) {
   txn->level = level;
   txn->policy = PolicyFor(level);
   txn->read_only = read_only;
-  txn->start_ts = store_->CurrentTs();
+  txn->start_ts =
+      txn->policy.ssi
+          ? ssi_.Register(txn->id, [this] { return store_->CurrentTs(); },
+                          read_only)
+          : store_->CurrentTs();
   if (txn->policy.snapshot_reads) {
     txn->snapshot = std::make_unique<SnapshotView>(store_, txn->start_ts);
   }
-  if (txn->policy.ssi) ssi_.Register(txn->id, txn->start_ts, read_only);
   if (wal_ != nullptr) wal_->LogBegin(txn->id, level);
   return txn;
 }
@@ -507,40 +510,30 @@ Status TxnManager::Commit(Txn* txn) {
     return Status::Internal("commit of non-active transaction");
   }
   if (txn->snapshot) {
-    if (txn->policy.ssi) {
-      // Dangerous-structure rule at the commit point: a doomed pivot (or a
-      // transaction whose commit would complete a structure whose
-      // out-conflict committed first) aborts instead of committing.
-      Status s = ssi_.PreCommit(txn->id);
-      if (!s.ok()) {
-        Abort(txn);
-        return s;
-      }
-    }
-    if (wal_ != nullptr) {
+    wal::WriteAheadLog::CommitHandle h;
+    auto apply = [&]() -> Result<Timestamp> {
+      if (wal_ == nullptr) return txn->snapshot->Commit(txn->id);
       Status apply_status;
-      wal::WriteAheadLog::CommitHandle h = wal_->LogCommit(
+      h = wal_->LogCommit(
           txn->id,
           [&](TxnEffects* eff) { return txn->snapshot->Commit(txn->id, eff); },
           &apply_status);
-      if (!h.applied) {
-        Abort(txn);
-        return apply_status;
-      }
-      txn->commit_ts = h.commit_ts;
-      txn->state = Txn::State::kCommitted;
-      if (txn->policy.ssi) ssi_.OnCommit(txn->id, txn->commit_ts);
-      txn->durable = wal_->WaitDurable(h.lsn);
-      return Status::Ok();
-    }
-    Result<Timestamp> ts = txn->snapshot->Commit(txn->id);
+      if (!h.applied) return apply_status;
+      return h.commit_ts;
+    };
+    // At SSI the dangerous-structure rule runs at the commit point, in one
+    // tracker critical section with the store commit: a doomed pivot (or a
+    // transaction whose commit would complete a structure whose
+    // out-conflict committed first) aborts instead of committing.
+    Result<Timestamp> ts =
+        txn->policy.ssi ? ssi_.Commit(txn->id, apply) : apply();
     if (!ts.ok()) {
       Abort(txn);
       return ts.status();
     }
     txn->commit_ts = ts.value();
     txn->state = Txn::State::kCommitted;
-    if (txn->policy.ssi) ssi_.OnCommit(txn->id, txn->commit_ts);
+    if (wal_ != nullptr) txn->durable = wal_->WaitDurable(h.lsn);
     return Status::Ok();
   }
   if (wal_ != nullptr) {

@@ -156,7 +156,8 @@ TEST(WireTest, SeededRandomFramesRoundTripThroughParser) {
   std::string stream;
   for (int i = 0; i < 100; ++i) {
     Frame f;
-    f.type = static_cast<MsgType>(rng.Uniform(1, 14));
+    f.type = static_cast<MsgType>(
+        rng.Uniform(1, static_cast<int>(MsgType::kExec)));
     const int len = static_cast<int>(rng.Uniform(0, 200));
     for (int j = 0; j < len; ++j) {
       f.payload.push_back(static_cast<char>(rng.Uniform(0, 255)));
@@ -183,6 +184,13 @@ TEST(WireTest, SeededRandomFramesRoundTripThroughParser) {
     EXPECT_EQ(got[i].type, sent[i].type) << i;
     EXPECT_EQ(got[i].payload, sent[i].payload) << i;
   }
+}
+
+TEST(WireTest, EveryMsgTypeHasAName) {
+  for (int t = 1; t <= static_cast<int>(MsgType::kExec); ++t) {
+    EXPECT_STRNE(MsgTypeName(static_cast<MsgType>(t)), "?") << t;
+  }
+  EXPECT_STREQ(MsgTypeName(MsgType::kExec), "EXEC");
 }
 
 TEST(WireTest, FrameParserRejectsZeroAndOversizedLengths) {
@@ -307,6 +315,20 @@ TEST(ServerTest, RejectsBadVersionBadStateAndUnknownType) {
     ASSERT_TRUE(err.ok());
     EXPECT_EQ(err.value().code, static_cast<uint16_t>(WireError::kBadState));
     ASSERT_TRUE(client.Hello().ok());  // recovery after the error
+  }
+  {
+    // So is EXEC before HELLO: a lone kBadState, no transaction started.
+    Client client = MakeClient(server);
+    ASSERT_TRUE(client.Connect().ok());
+    ASSERT_TRUE(client.SendFrame(MsgType::kExec, BeginReq().Encode()).ok());
+    Frame frame;
+    ASSERT_TRUE(client.RecvFrame(&frame).ok());
+    ASSERT_EQ(frame.type, MsgType::kError);
+    Result<ErrorResp> err = ErrorResp::Decode(frame.payload);
+    ASSERT_TRUE(err.ok());
+    EXPECT_EQ(err.value().code, static_cast<uint16_t>(WireError::kBadState));
+    ASSERT_TRUE(client.Hello().ok());
+    EXPECT_EQ(server.Metrics().inflight, 0);
   }
   {
     Client client = MakeClient(server);
@@ -438,6 +460,307 @@ TEST(ServerTest, PipelinedFloodIsAnsweredFrameForFrame) {
   EXPECT_GT(served, 0);
   Result<StatsResp> after = client.Stats();
   ASSERT_TRUE(after.ok());  // session still healthy after the flood
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// EXEC: BEGIN, body and COMMIT in one round trip.
+// ---------------------------------------------------------------------------
+
+std::string ExecPayload(const std::string& type, uint8_t level,
+                        std::vector<std::pair<std::string, int64_t>> params) {
+  BeginReq req;
+  req.txn_type = type;
+  req.requested_level = level;
+  req.params = std::move(params);
+  return req.Encode();
+}
+
+/// Reads one complete EXEC answer: BEGIN_OK plus the frame behind it, or the
+/// lone frame of a transaction that was not admitted.
+std::vector<Frame> RecvExecAnswer(Client& client) {
+  std::vector<Frame> frames(1);
+  EXPECT_TRUE(client.RecvFrame(&frames[0]).ok());
+  if (frames[0].type == MsgType::kBeginOk) {
+    frames.emplace_back();
+    EXPECT_TRUE(client.RecvFrame(&frames[1]).ok());
+  }
+  return frames;
+}
+
+StepWire StepOutcomeOf(const Frame& frame) {
+  EXPECT_EQ(frame.type, MsgType::kStepReport) << MsgTypeName(frame.type);
+  Result<StepResp> step = StepResp::Decode(frame.payload);
+  EXPECT_TRUE(step.ok());
+  return step.ok() ? static_cast<StepWire>(step.value().outcome)
+                   : StepWire::kAborted;
+}
+
+uint16_t ErrorCodeOf(const Frame& frame) {
+  EXPECT_EQ(frame.type, MsgType::kError) << MsgTypeName(frame.type);
+  Result<ErrorResp> err = ErrorResp::Decode(frame.payload);
+  EXPECT_TRUE(err.ok());
+  return err.ok() ? err.value().code : 0;
+}
+
+/// A STATS round trip whose answer must be the very next frame, proving
+/// nothing else (a stray BEGIN_OK or report) was queued ahead of it.
+void ExpectNothingPending(Client& client) {
+  ASSERT_TRUE(client.SendFrame(MsgType::kStats, "").ok());
+  Frame frame;
+  ASSERT_TRUE(client.RecvFrame(&frame).ok());
+  EXPECT_EQ(frame.type, MsgType::kStatsOk) << MsgTypeName(frame.type);
+}
+
+TEST(ExecTest, CommitsWithOneFrameInPerTransaction) {
+  Server server(BankingOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+
+  // The answer to one EXEC is exactly BEGIN_OK then a committed report.
+  ASSERT_TRUE(client
+                  .SendFrame(MsgType::kExec,
+                             ExecPayload("Deposit_sav", kNegotiateLevel,
+                                         {{"i", 0}, {"d", 1}}))
+                  .ok());
+  const std::vector<Frame> answer = RecvExecAnswer(client);
+  ASSERT_EQ(answer.size(), 2u);
+  Result<BeginResp> begin = BeginResp::Decode(answer[0].payload);
+  ASSERT_TRUE(begin.ok());
+  EXPECT_EQ(begin.value().txn_type, "Deposit_sav");
+  EXPECT_TRUE(begin.value().negotiated);
+  EXPECT_EQ(StepOutcomeOf(answer[1]), StepWire::kCommitted);
+
+  // RunTxn costs one inbound frame per transaction: the STATS delta is the
+  // transactions plus the second STATS request itself.
+  Result<StatsResp> before = client.Stats();
+  ASSERT_TRUE(before.ok());
+  constexpr int kTxns = 6;
+  for (int i = 0; i < kTxns; ++i) {
+    Result<TxnResult> run = client.RunTxn("Withdraw_sav", kNegotiateLevel,
+                                          {{"i", i % 4}, {"w", 1}});
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(run.value().committed) << run.value().detail;
+    EXPECT_EQ(run.value().busy_retries + run.value().blocked_retries, 0);
+  }
+  Result<StatsResp> after = client.Stats();
+  ASSERT_TRUE(after.ok());
+  const StatsResp& a = after.value();
+  const StatsResp& b = before.value();
+  EXPECT_EQ(a.Counter("frames_in") - b.Counter("frames_in"), kTxns + 1);
+  EXPECT_EQ(a.Counter("committed") - b.Counter("committed"), kTxns);
+  // Outbound: the first STATS answer plus two frames per EXEC.
+  EXPECT_EQ(a.Counter("frames_out") - b.Counter("frames_out"), 2 * kTxns + 1);
+  EXPECT_EQ(server.Metrics().inflight, 0);
+  EXPECT_TRUE(server.InvariantHolds());
+  server.Stop();
+}
+
+TEST(ExecTest, OverAdmissionCapGetsLoneBusyThenRetryIsAdmitted) {
+  ServerOptions options = BankingOptions();
+  options.max_inflight_txns = 1;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Client holder = MakeClient(server);
+  ASSERT_TRUE(holder.Connect().ok());
+  ASSERT_TRUE(holder.Hello().ok());
+  Result<BeginResult> held =
+      holder.Begin("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(held.value().admitted);
+
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+  const std::string exec =
+      ExecPayload("Deposit_sav", kNegotiateLevel, {{"i", 1}, {"d", 1}});
+  ASSERT_TRUE(client.SendFrame(MsgType::kExec, exec).ok());
+  const std::vector<Frame> answer = RecvExecAnswer(client);
+  ASSERT_EQ(answer.size(), 1u);
+  ASSERT_EQ(answer[0].type, MsgType::kBusy);
+  Result<BusyResp> busy = BusyResp::Decode(answer[0].payload);
+  ASSERT_TRUE(busy.ok());
+  EXPECT_GT(busy.value().retry_after_ms, 0u);
+  ExpectNothingPending(client);  // no BEGIN_OK trails the BUSY
+  EXPECT_EQ(server.Metrics().inflight, 1);  // only the holder's slot
+
+  Result<StepResp> aborted = holder.Abort();
+  ASSERT_TRUE(aborted.ok());
+  EXPECT_EQ(static_cast<StepWire>(aborted.value().outcome), StepWire::kAborted);
+  EXPECT_EQ(server.Metrics().inflight, 0);
+
+  // The re-sent EXEC is admitted and commits in the same round trip.
+  ASSERT_TRUE(client.SendFrame(MsgType::kExec, exec).ok());
+  const std::vector<Frame> retry = RecvExecAnswer(client);
+  ASSERT_EQ(retry.size(), 2u);
+  EXPECT_EQ(StepOutcomeOf(retry[1]), StepWire::kCommitted);
+
+  const ServerMetricsSnapshot m = server.Metrics();
+  EXPECT_EQ(m.admission_rejected, 1);
+  EXPECT_EQ(m.inflight, 0);
+  EXPECT_EQ(m.Committed(), 1);
+  server.Stop();
+}
+
+TEST(ExecTest, WhileATransactionIsActiveIsBadStateAndLeavesItAlone) {
+  Server server(BankingOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+  Result<BeginResult> begin =
+      client.Begin("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
+  ASSERT_TRUE(begin.ok());
+  ASSERT_TRUE(begin.value().admitted);
+  Result<StepResp> first = client.Stmt(1);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(static_cast<StepWire>(first.value().outcome), StepWire::kRunning);
+
+  ASSERT_TRUE(client
+                  .SendFrame(MsgType::kExec,
+                             ExecPayload("Deposit_sav", kNegotiateLevel,
+                                         {{"i", 1}, {"d", 1}}))
+                  .ok());
+  const std::vector<Frame> answer = RecvExecAnswer(client);
+  ASSERT_EQ(answer.size(), 1u);
+  EXPECT_EQ(ErrorCodeOf(answer[0]),
+            static_cast<uint16_t>(WireError::kBadState));
+  ExpectNothingPending(client);
+
+  // The live transaction carries on where it was and commits.
+  for (;;) {
+    Result<StepResp> step = client.Stmt();
+    ASSERT_TRUE(step.ok());
+    const StepWire outcome = static_cast<StepWire>(step.value().outcome);
+    ASSERT_EQ(outcome == StepWire::kRunning || outcome == StepWire::kBodyDone,
+              true)
+        << StepWireName(outcome);
+    if (outcome == StepWire::kBodyDone) break;
+  }
+  Result<StepResp> commit = client.Commit();
+  ASSERT_TRUE(commit.ok());
+  EXPECT_EQ(static_cast<StepWire>(commit.value().outcome),
+            StepWire::kCommitted);
+
+  const ServerMetricsSnapshot m = server.Metrics();
+  EXPECT_EQ(m.Committed(), 1);
+  EXPECT_EQ(m.Aborted(), 0);
+  EXPECT_EQ(m.per_type.count("Deposit_sav"), 0u);  // never begun
+  EXPECT_EQ(m.inflight, 0);
+  server.Stop();
+}
+
+TEST(ExecTest, UnknownTypeIsBadRequestAndLeaksNoSlot) {
+  ServerOptions options = BankingOptions();
+  options.max_inflight_txns = 1;  // a leaked slot would BUSY the next EXEC
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+
+  ASSERT_TRUE(client
+                  .SendFrame(MsgType::kExec,
+                             ExecPayload("NoSuchType", kNegotiateLevel, {}))
+                  .ok());
+  const std::vector<Frame> answer = RecvExecAnswer(client);
+  ASSERT_EQ(answer.size(), 1u);
+  EXPECT_EQ(ErrorCodeOf(answer[0]),
+            static_cast<uint16_t>(WireError::kBadRequest));
+  ExpectNothingPending(client);
+  EXPECT_EQ(server.Metrics().inflight, 0);
+
+  Result<TxnResult> bad = client.RunTxn("NoSuchType", kNegotiateLevel);
+  EXPECT_FALSE(bad.ok());  // surfaced as a server-error status
+  Result<TxnResult> good =
+      client.RunTxn("Deposit_ch", kNegotiateLevel, {{"i", 0}, {"d", 1}});
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(good.value().committed);
+  EXPECT_EQ(good.value().busy_retries, 0);
+  EXPECT_EQ(server.Metrics().inflight, 0);
+  server.Stop();
+}
+
+TEST(ExecTest, BlockedBehindRrHolderCommitsThroughCommitRetry) {
+  Server server(BankingOptions());
+  ASSERT_TRUE(server.Start().ok());
+  const uint8_t rr = static_cast<uint8_t>(IsoLevel::kRepeatableRead);
+  const std::vector<std::pair<std::string, int64_t>> params = {{"i", 0},
+                                                               {"d", 1}};
+
+  // The holder writes sav[0] under REPEATABLE READ and stops before COMMIT,
+  // so it keeps the exclusive lock.
+  Client holder = MakeClient(server);
+  ASSERT_TRUE(holder.Connect().ok());
+  ASSERT_TRUE(holder.Hello().ok());
+  Result<BeginResult> held = holder.Begin("Deposit_sav", rr, params);
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(held.value().admitted);
+  for (;;) {
+    Result<StepResp> step = holder.Stmt();
+    ASSERT_TRUE(step.ok());
+    const StepWire outcome = static_cast<StepWire>(step.value().outcome);
+    ASSERT_EQ(outcome, outcome == StepWire::kBodyDone ? StepWire::kBodyDone
+                                                      : StepWire::kRunning);
+    if (outcome == StepWire::kBodyDone) break;
+  }
+
+  // An EXEC reading sav[0] is admitted, then blocks on the read lock.
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+  ASSERT_TRUE(
+      client.SendFrame(MsgType::kExec, ExecPayload("Deposit_sav", rr, params))
+          .ok());
+  const std::vector<Frame> answer = RecvExecAnswer(client);
+  ASSERT_EQ(answer.size(), 2u);
+  EXPECT_EQ(StepOutcomeOf(answer[1]), StepWire::kBlocked);
+  EXPECT_EQ(server.Metrics().inflight, 2);
+
+  Result<StepResp> holder_commit = holder.Commit();
+  ASSERT_TRUE(holder_commit.ok());
+  EXPECT_EQ(static_cast<StepWire>(holder_commit.value().outcome),
+            StepWire::kCommitted);
+
+  // The blocked EXEC finishes through the ordinary COMMIT retry.
+  Result<StepResp> commit = client.Commit();
+  ASSERT_TRUE(commit.ok());
+  EXPECT_EQ(static_cast<StepWire>(commit.value().outcome),
+            StepWire::kCommitted);
+
+  const ServerMetricsSnapshot m = server.Metrics();
+  EXPECT_EQ(m.Committed(), 2);
+  EXPECT_GE(m.blocked_retries, 1);
+  EXPECT_EQ(m.inflight, 0);
+  EXPECT_TRUE(server.InvariantHolds());
+  server.Stop();
+}
+
+TEST(ExecTest, TwoPipelinedExecsGetTwoCompleteAnswers) {
+  // What a duplicated chunk does to an EXEC: the second copy is a second
+  // transaction, served in order once the first has settled.
+  Server server(BankingOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+  const std::string exec = EncodeFrame(
+      MsgType::kExec,
+      ExecPayload("Deposit_ch", kNegotiateLevel, {{"i", 2}, {"d", 3}}));
+  ASSERT_TRUE(client.SendRaw(exec + exec).ok());
+  for (int i = 0; i < 2; ++i) {
+    const std::vector<Frame> answer = RecvExecAnswer(client);
+    ASSERT_EQ(answer.size(), 2u) << i;
+    EXPECT_EQ(StepOutcomeOf(answer[1]), StepWire::kCommitted) << i;
+  }
+  ExpectNothingPending(client);
+  const ServerMetricsSnapshot m = server.Metrics();
+  EXPECT_EQ(m.Committed(), 2);
+  EXPECT_EQ(m.inflight, 0);
+  EXPECT_TRUE(server.InvariantHolds());
   server.Stop();
 }
 
