@@ -53,7 +53,8 @@ inline PerfResult RunRounds(const Workload& w,
     double wall = 0;
     ExecStats stats = executor.Run(
         [&](Rng& rng) { return w.DrawFromMix(rng, levels, fallback); },
-        items_per_thread, /*max_retries=*/25, &log, &wall,
+        items_per_thread,
+        RetryPolicy{.max_attempts = 26, .backoff_base_us = 50}, &log, &wall,
         seed + static_cast<uint64_t>(round) * 65537);
     merged.Merge(stats);
     total_wall += wall;

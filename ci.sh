@@ -10,7 +10,7 @@ set -eu
 cd "$(dirname "$0")"
 
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 # Static-analysis stage 1: clang-tidy over the analysis core, driven by the
@@ -73,7 +73,7 @@ rm -f lint_under.out
 # (reproducible from the seed), keep the soundness cross-check green
 # (exit 0), and trip no sanitizer.
 cmake -B build-asan -S . -DSEMCOR_SANITIZE=ON
-cmake --build build-asan -j --target semcor_explore
+cmake --build build-asan -j"$(nproc)" --target semcor_explore
 fault_out=$(./build-asan/examples/semcor_explore --workload=banking \
     --mix=write_skew --level=ru --threads=2 --budget=3000 --seed=42 \
     --faults=seed:7)
@@ -84,7 +84,7 @@ echo "$fault_out" | grep -q 'injected_faults=[1-9]'
 # clean under ASan (use-after-free in the waiter queues would surface here),
 # as must the WAL suite (codec round-trips, crash-point recovery, and the
 # group-commit flusher handing buffers across threads).
-cmake --build build-asan -j --target lock_shard_test wal_test
+cmake --build build-asan -j"$(nproc)" --target lock_shard_test wal_test
 ./build-asan/tests/lock_shard_test
 ./build-asan/tests/wal_test
 
@@ -94,8 +94,8 @@ cmake --build build-asan -j --target lock_shard_test wal_test
 # network-server suites that drive them from worker threads — must come up
 # race-free.
 cmake -B build-tsan -S . -DSEMCOR_SANITIZE=thread
-cmake --build build-tsan -j --target lock_test lock_shard_test executor_test \
-    fault_test net_test wal_test
+cmake --build build-tsan -j"$(nproc)" --target lock_test lock_shard_test \
+    executor_test fault_test net_test wal_test
 for t in lock_test lock_shard_test executor_test fault_test net_test wal_test; do
   ./build-tsan/tests/"$t"
 done
@@ -133,6 +133,8 @@ budget = (txns + r["busy_retries"] + r["blocked_retries"]
           + r["client_session_frames"])
 assert txns > 0, r
 assert r["server_frames_in"] <= budget, (r["server_frames_in"], budget, r)
+# Server latency gauges come from its histogram: present and ordered.
+assert 0 < r["p50_us"] <= r["p95_us"] <= r["p99_us"], r
 EOF
 fi
 

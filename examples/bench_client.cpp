@@ -40,7 +40,6 @@ struct Tally {
   long blocked_retries = 0;
   long negotiated = 0;
   long advisor_correct = 0;
-  std::vector<double> latency_us;
 
   long Committed() const {
     long n = 0;
@@ -61,8 +60,6 @@ struct Tally {
     blocked_retries += other.blocked_retries;
     negotiated += other.negotiated;
     advisor_correct += other.advisor_correct;
-    latency_us.insert(latency_us.end(), other.latency_us.begin(),
-                      other.latency_us.end());
   }
 };
 
@@ -162,7 +159,6 @@ int main(int argc, char** argv) {
         const TxnResult& r = run.value();
         if (r.committed) {
           local.commits[r.level]++;
-          local.latency_us.push_back(r.latency_us);
         } else {
           local.aborts[r.level]++;
         }

@@ -53,7 +53,8 @@ int main() {
       [&](Rng& rng) {
         return w.DrawFromMix(rng, levels, IsoLevel::kSerializable);
       },
-      120, 25, &log, &wall);
+      120, RetryPolicy{.max_attempts = 26, .backoff_base_us = 50}, &log,
+      &wall);
   std::printf("  committed=%ld aborted=%ld deadlocks=%ld fcw=%ld "
               "throughput=%.0f txn/s p50=%.0fus\n",
               stats.committed, stats.aborted, stats.deadlocks,

@@ -27,7 +27,8 @@ double RunMix(const Workload& w, const std::map<std::string, IsoLevel>& levels,
       [&](Rng& rng) {
         return w.DrawFromMix(rng, levels, IsoLevel::kSerializable);
       },
-      150, 25, &log, &wall);
+      150, RetryPolicy{.max_attempts = 26, .backoff_base_us = 50}, &log,
+      &wall);
   *correct =
       CheckSemanticCorrectness(initial, store, log, w.app.invariant).ok();
   return stats.Throughput(wall);

@@ -45,13 +45,12 @@ int PickDeadlockVictim(const DeadlockPolicy& policy,
                        const std::function<TxnId(int)>& txn_id);
 
 /// Retry discipline for the concurrent executor: how many attempts one work
-/// item gets and how long to back off between them. The deterministic
-/// backoff is a pure function of (salt, attempt) so that two runs with the
-/// same seed sleep identically.
+/// item gets and how long to back off between them. The backoff is a pure
+/// function of (salt, attempt) so that two runs with the same seed sleep
+/// identically.
 struct RetryPolicy {
   int max_attempts = 3;  ///< total attempts per work item (min 1)
   int backoff_base_us = 50;
-  bool deterministic = true;  ///< false = legacy randomized backoff
 
   uint64_t BackoffUs(int attempt, uint64_t salt) const;
 };

@@ -6,8 +6,8 @@
 #include <map>
 #include <string>
 
+#include "common/histogram.h"
 #include "load/clock.h"
-#include "load/histogram.h"
 #include "load/rate.h"
 
 namespace semcor::load {

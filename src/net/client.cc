@@ -312,7 +312,6 @@ Result<TxnResult> Client::RunTxn(
     const std::vector<std::pair<std::string, int64_t>>& params,
     int max_busy_retries) {
   TxnResult result;
-  const auto start = std::chrono::steady_clock::now();
   timed_out_ = false;
   // Consecutive-retry counter drives the exponential; any real progress
   // resets it so a long transaction is not punished for early contention.
@@ -372,11 +371,6 @@ Result<TxnResult> Client::RunTxn(
             static_cast<StepWire>(r.outcome) == StepWire::kCommitted;
         result.detail = r.detail;
         result.timed_out = timed_out_;
-        result.latency_us =
-            std::chrono::duration_cast<
-                std::chrono::duration<double, std::micro>>(
-                std::chrono::steady_clock::now() - start)
-                .count();
         return result;
     }
     step = Commit();

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 
 #include "common/rng.h"
@@ -74,16 +73,6 @@ long CountFrames(const std::string& bytes) {
     pos += 4u + body;
   }
   return frames;
-}
-
-double PercentileUs(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const double rank = p / 100.0 * static_cast<double>(v.size());
-  size_t idx = static_cast<size_t>(std::ceil(rank));
-  if (idx > 0) --idx;
-  if (idx >= v.size()) idx = v.size() - 1;
-  return v[idx];
 }
 
 }  // namespace
@@ -1026,12 +1015,12 @@ std::string Server::FinishTxn(Session& session, StepOutcome outcome,
       m.commits[session.level_idx]++;
       t.commits[session.level_idx]++;
       if (refuse_ack) m.commit_acks_refused++;
-      const double us =
-          std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-              std::chrono::steady_clock::now() - session.begin_time)
-              .count();
-      m.latency_us.push_back(us);
-      t.latency_us.push_back(us);
+      const auto elapsed =
+          std::chrono::steady_clock::now() - session.begin_time;
+      const int64_t ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+      m.latency_ns.Record(ns);
+      t.latency_ns.Record(ns);
     } else {
       m.aborts[session.level_idx]++;
       t.aborts[session.level_idx]++;
@@ -1224,14 +1213,18 @@ std::string Server::BuildStats() {
   };
   g("uptime_s", uptime);
   g("throughput_tps", uptime > 0 ? m.Committed() / uptime : 0);
-  g("p50_us", PercentileUs(m.latency_us, 50));
-  g("p95_us", PercentileUs(m.latency_us, 95));
-  g("p99_us", PercentileUs(m.latency_us, 99));
+  // Histograms hold ns; the gauges keep their µs names and units.
+  auto us = [](const Histogram& h, double p) {
+    return static_cast<double>(h.Percentile(p)) / 1000.0;
+  };
+  g("p50_us", us(m.latency_ns, 50));
+  g("p95_us", us(m.latency_ns, 95));
+  g("p99_us", us(m.latency_ns, 99));
   for (const auto& [type, t] : m.per_type) {
-    if (t.latency_us.empty()) continue;
-    g(StrCat("type.", type, ".p50_us"), PercentileUs(t.latency_us, 50));
-    g(StrCat("type.", type, ".p95_us"), PercentileUs(t.latency_us, 95));
-    g(StrCat("type.", type, ".p99_us"), PercentileUs(t.latency_us, 99));
+    if (t.latency_ns.Count() == 0) continue;
+    g(StrCat("type.", type, ".p50_us"), us(t.latency_ns, 50));
+    g(StrCat("type.", type, ".p95_us"), us(t.latency_ns, 95));
+    g(StrCat("type.", type, ".p99_us"), us(t.latency_ns, 99));
   }
   if (wal_) g("group_commit_mean_batch", wal_->stats().MeanBatchSize());
   return EncodeFrame(MsgType::kStatsOk, stats.Encode());

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.h"
 #include "net/event_loop.h"
 #include "net/wire.h"
 #include "sem/check/advisor.h"
@@ -116,7 +117,7 @@ struct ServerMetricsSnapshot {
   /// analysis would have negotiated.
   std::array<long, kIsoLevelCount> advisor_recommended{};
   long advisor_overridden = 0;  ///< explicit BEGINs whose level != recommended
-  std::vector<double> latency_us;  ///< BEGIN→commit, committed txns only
+  Histogram latency_ns;  ///< BEGIN→commit, committed txns only
 
   /// Per-transaction-type split of the same lifecycle counters, keyed by
   /// the type resolved at BEGIN (after any server-side mix draw).
@@ -124,7 +125,7 @@ struct ServerMetricsSnapshot {
     long begins = 0;
     std::array<long, kIsoLevelCount> commits{};
     std::array<long, kIsoLevelCount> aborts{};
-    std::vector<double> latency_us;  ///< committed txns only
+    Histogram latency_ns;  ///< committed txns only
   };
   std::map<std::string, TypeMetrics> per_type;
 

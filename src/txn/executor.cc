@@ -1,23 +1,11 @@
 #include "txn/executor.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "wal/wal.h"
 
 namespace semcor {
-
-double ExecStats::LatencyPercentileUs(double p) const {
-  if (latency_us.empty()) return 0;
-  std::vector<double> sorted = latency_us;
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = (p / 100.0) * (sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - lo;
-  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
-}
 
 void ExecStats::Merge(const ExecStats& other) {
   committed += other.committed;
@@ -34,8 +22,7 @@ void ExecStats::Merge(const ExecStats& other) {
   group_commit_batches += other.group_commit_batches;
   group_commit_batch_commits += other.group_commit_batch_commits;
   recovery_replayed_txns += other.recovery_replayed_txns;
-  latency_us.insert(latency_us.end(), other.latency_us.begin(),
-                    other.latency_us.end());
+  latency_ns.Merge(other.latency_ns);
   lock.Add(other.lock);
   if (lock_shards.size() < other.lock_shards.size()) {
     lock_shards.resize(other.lock_shards.size());
@@ -76,8 +63,9 @@ ExecStats ConcurrentExecutor::Run(const Generator& gen, int items_per_thread,
           StepOutcome outcome = run.RunToCompletion();
           if (outcome == StepOutcome::kCommitted) {
             const auto t1 = std::chrono::steady_clock::now();
-            stats.latency_us.push_back(
-                std::chrono::duration<double, std::micro>(t1 - t0).count());
+            stats.latency_ns.Record(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                    .count());
             ++stats.committed;
             committed = true;
             break;
@@ -93,16 +81,11 @@ ExecStats ConcurrentExecutor::Run(const Generator& gen, int items_per_thread,
             break;
           }
           // Backoff keeps optimistic (FCW) retries from livelocking on hot
-          // items; the deterministic variant is a pure function of
-          // (seed, thread, item, attempt), so runs with the same seed sleep
-          // identically.
-          const uint64_t us =
-              retry.deterministic
-                  ? retry.BackoffUs(
-                        attempt, seed ^ (static_cast<uint64_t>(t) << 32) ^
-                                     static_cast<uint64_t>(i))
-                  : static_cast<uint64_t>(rng.Uniform(
-                        0, retry.backoff_base_us * (attempt + 1)));
+          // items; it is a pure function of (seed, thread, item, attempt),
+          // so runs with the same seed sleep identically.
+          const uint64_t salt = seed ^ (static_cast<uint64_t>(t) << 32) ^
+                                static_cast<uint64_t>(i);
+          const uint64_t us = retry.BackoffUs(attempt, salt);
           if (us > 0) {
             std::this_thread::sleep_for(std::chrono::microseconds(us));
           }
@@ -152,16 +135,6 @@ ExecStats ConcurrentExecutor::Run(const Generator& gen, int items_per_thread,
         wal_after.batch_commits - wal_before.batch_commits);
   }
   return merged;
-}
-
-ExecStats ConcurrentExecutor::Run(const Generator& gen, int items_per_thread,
-                                  int max_retries, CommitLog* log,
-                                  double* wall_seconds, uint64_t seed) {
-  RetryPolicy retry;
-  retry.max_attempts = max_retries + 1;
-  retry.backoff_base_us = 50;
-  retry.deterministic = false;  // historical randomized backoff
-  return Run(gen, items_per_thread, retry, log, wall_seconds, seed, nullptr);
 }
 
 }  // namespace semcor

@@ -4,6 +4,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "fault/policy.h"
 #include "lock/lock_manager.h"
@@ -31,7 +32,7 @@ struct ExecStats {
   long ssi_aborts = 0;
   long ssi_false_positive_aborts = 0;
   long ssi_required_aborts = 0;
-  std::vector<double> latency_us;  ///< per committed txn, begin to commit
+  Histogram latency_ns;  ///< per committed txn, begin to commit
 
   /// Lock-manager activity during the run (deltas, so back-to-back runs on
   /// one manager don't double-count): totals plus the per-shard break-down
@@ -57,14 +58,17 @@ struct ExecStats {
   double Throughput(double wall_seconds) const {
     return wall_seconds > 0 ? committed / wall_seconds : 0;
   }
-  double LatencyPercentileUs(double p) const;  ///< p in [0,100]
+  /// Nearest-rank latency percentile (bucket upper bound), p in [0,100].
+  double LatencyPercentileUs(double p) const {
+    return static_cast<double>(latency_ns.Percentile(p)) / 1000.0;
+  }
 
   void Merge(const ExecStats& other);
 };
 
 /// Multi-threaded closed-loop executor: each worker repeatedly draws a work
 /// item from the generator and runs it with blocking locks, retrying aborted
-/// attempts up to `max_retries`.
+/// attempts under a RetryPolicy.
 class ConcurrentExecutor {
  public:
   ConcurrentExecutor(TxnManager* mgr, int threads)
@@ -79,11 +83,6 @@ class ConcurrentExecutor {
   ExecStats Run(const Generator& gen, int items_per_thread,
                 const RetryPolicy& retry, CommitLog* log, double* wall_seconds,
                 uint64_t seed = 42, FaultInjector* faults = nullptr);
-
-  /// Legacy form: `max_retries` retries after the first attempt, with the
-  /// historical randomized backoff.
-  ExecStats Run(const Generator& gen, int items_per_thread, int max_retries,
-                CommitLog* log, double* wall_seconds, uint64_t seed = 42);
 
  private:
   TxnManager* mgr_;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/cli.h"
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str_util.h"
@@ -346,6 +349,69 @@ TEST(CliTest, RepeatedBoolAndMalformedRepeatStillFail) {
     again.Bool("b", &b, "");
     const char* argv[] = {"prog", "--b=true", "--b=maybe"};
     EXPECT_FALSE(again.Parse(3, const_cast<char**>(argv)));
+  }
+}
+
+TEST(HistogramTest, SmallValuesAreExact) {
+  Histogram h;
+  for (int64_t v = 0; v < 64; ++v) h.Record(v);
+  EXPECT_EQ(h.Count(), 64u);
+  EXPECT_EQ(h.Max(), 63);
+  // Below 64 the buckets are exact, so percentiles are exact order stats.
+  EXPECT_EQ(h.Percentile(50), 31);
+  EXPECT_EQ(h.Percentile(100), 63);
+}
+
+TEST(HistogramTest, PercentilesWithinRelativeErrorBound) {
+  Histogram h;
+  for (int64_t v = 1; v <= 100000; ++v) h.Record(v);
+  EXPECT_EQ(h.Count(), 100000u);
+  // Upper-bound reporting with ~3% bucket width: p must sit in [exact,
+  // exact * 1.04).
+  for (double p : {50.0, 90.0, 95.0, 99.0, 99.9}) {
+    const double exact = p / 100.0 * 100000.0;
+    const int64_t got = h.Percentile(p);
+    EXPECT_GE(static_cast<double>(got), exact - 1) << p;
+    EXPECT_LE(static_cast<double>(got), exact * 1.04 + 1) << p;
+  }
+  EXPECT_GE(h.Percentile(100), 100000);
+}
+
+TEST(HistogramTest, MergeAndEmptyBehaviour) {
+  Histogram empty;
+  EXPECT_EQ(empty.Percentile(99), 0);
+  EXPECT_EQ(empty.Count(), 0u);
+  EXPECT_EQ(empty.Mean(), 0.0);
+
+  Histogram a;
+  Histogram b;
+  for (int i = 0; i < 500; ++i) a.Record(100);
+  for (int i = 0; i < 500; ++i) b.Record(10000);
+  a.Merge(b);
+  EXPECT_EQ(a.Count(), 1000u);
+  EXPECT_EQ(a.Max(), 10000);
+  // Half the mass at 100, half at 10000: p50 is the low mode, p99 the high.
+  EXPECT_LE(a.Percentile(50), 104);
+  EXPECT_GE(a.Percentile(99), 10000 * 97 / 100);
+  EXPECT_NEAR(a.Mean(), 5050.0, 1.0);
+
+  // Merging is lossless: a sample split across four histograms and merged
+  // answers every percentile exactly as one histogram of the whole sample.
+  Histogram whole;
+  std::vector<Histogram> parts(4);
+  Rng rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    const int64_t v = rng.Uniform(0, 1) == 0 ? rng.Uniform(0, 200)
+                                             : rng.Uniform(1000, 5000000);
+    whole.Record(v);
+    parts[static_cast<size_t>(i) % parts.size()].Record(v);
+  }
+  Histogram merged;
+  for (const Histogram& part : parts) merged.Merge(part);
+  EXPECT_EQ(merged.Count(), whole.Count());
+  EXPECT_EQ(merged.Max(), whole.Max());
+  for (double p : {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(merged.Percentile(p), whole.Percentile(p)) << p;
   }
 }
 

@@ -8,11 +8,23 @@ namespace semcor {
 namespace {
 
 TEST(ExecStatsTest, Percentiles) {
+  // Nearest rank, reported as the upper bound of the histogram bucket that
+  // holds it. Below 64 ns the buckets are exact.
+  ExecStats exact;
+  for (int64_t ns = 1; ns <= 10; ++ns) exact.latency_ns.Record(ns);
+  EXPECT_DOUBLE_EQ(exact.LatencyPercentileUs(0), 0.001);
+  EXPECT_DOUBLE_EQ(exact.LatencyPercentileUs(50), 0.005);  // rank 5, no lerp
+  EXPECT_DOUBLE_EQ(exact.LatencyPercentileUs(100), 0.010);
+
+  // Above that, within the ~3% bucket width and never below the sample.
   ExecStats stats;
-  stats.latency_us = {10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileUs(0), 10);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileUs(100), 100);
-  EXPECT_NEAR(stats.LatencyPercentileUs(50), 55, 1e-9);
+  for (int64_t us = 10; us <= 100; us += 10) stats.latency_ns.Record(us * 1000);
+  EXPECT_GE(stats.LatencyPercentileUs(0), 10);
+  EXPECT_LE(stats.LatencyPercentileUs(0), 10 * 1.04);
+  EXPECT_GE(stats.LatencyPercentileUs(50), 50);
+  EXPECT_LE(stats.LatencyPercentileUs(50), 50 * 1.04);
+  EXPECT_GE(stats.LatencyPercentileUs(100), 100);
+  EXPECT_LE(stats.LatencyPercentileUs(100), 100 * 1.04);
   EXPECT_EQ(ExecStats().LatencyPercentileUs(50), 0);
 }
 
@@ -20,15 +32,21 @@ TEST(ExecStatsTest, Merge) {
   ExecStats a, b;
   a.committed = 3;
   a.aborted = 1;
-  a.latency_us = {1};
+  a.latency_ns.Record(1000);
   b.committed = 2;
   b.deadlocks = 4;
-  b.latency_us = {2, 3};
+  b.latency_ns.Record(2000);
+  b.latency_ns.Record(3000);
   a.Merge(b);
   EXPECT_EQ(a.committed, 5);
   EXPECT_EQ(a.aborted, 1);
   EXPECT_EQ(a.deadlocks, 4);
-  EXPECT_EQ(a.latency_us.size(), 3u);
+  EXPECT_EQ(a.latency_ns.Count(), 3u);
+  EXPECT_EQ(a.latency_ns.Max(), 3000);
+  // Nearest rank over the merged sample {1, 2, 3} µs.
+  EXPECT_GE(a.LatencyPercentileUs(50), 2);
+  EXPECT_LT(a.LatencyPercentileUs(50), 3);
+  EXPECT_GE(a.LatencyPercentileUs(100), 3);
 }
 
 class ExecutorTest : public ::testing::Test {
@@ -51,7 +69,8 @@ TEST_F(ExecutorTest, BankingMixedLevelsStaysCorrect) {
       [&](Rng& rng) {
         return w.DrawFromMix(rng, w.paper_levels, IsoLevel::kSerializable);
       },
-      40, 20, &log, &wall);
+      40, RetryPolicy{.max_attempts = 21, .backoff_base_us = 50}, &log,
+      &wall);
   EXPECT_GT(stats.committed, 0);
   EXPECT_EQ(stats.committed, static_cast<long>(log.size()));
   EXPECT_EQ(stats.retries_exhausted, 0);
@@ -79,7 +98,8 @@ TEST_F(ExecutorTest, HighContentionSerializableStaysCorrect) {
         item.level = IsoLevel::kSerializable;
         return item;
       },
-      25, 50, &log, &wall);
+      25, RetryPolicy{.max_attempts = 51, .backoff_base_us = 50}, &log,
+      &wall);
   EXPECT_GT(stats.committed, 0);
   EXPECT_EQ(stats.retries_exhausted, 0);
   OracleReport report =
@@ -124,7 +144,8 @@ TEST_F(ExecutorTest, TpccMixAtPaperLevelsCorrect) {
       [&](Rng& rng) {
         return w.DrawFromMix(rng, w.paper_levels, IsoLevel::kSerializable);
       },
-      30, 20, &log, &wall);
+      30, RetryPolicy{.max_attempts = 21, .backoff_base_us = 50}, &log,
+      &wall);
   EXPECT_GT(stats.committed, 0);
   EXPECT_EQ(stats.retries_exhausted, 0);
   OracleReport report =

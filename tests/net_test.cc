@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -761,6 +762,57 @@ TEST(ExecTest, TwoPipelinedExecsGetTwoCompleteAnswers) {
   EXPECT_EQ(m.Committed(), 2);
   EXPECT_EQ(m.inflight, 0);
   EXPECT_TRUE(server.InvariantHolds());
+  server.Stop();
+}
+
+TEST(ExecTest, StatsLatencyGaugesComeFromOneBoundedHistogram) {
+  // Committed EXECs feed the server's latency histograms: STATS reports
+  // ordered, positive percentiles, a per-type gauge for exactly the types
+  // that committed (not for one that only began and aborted), and the
+  // global histogram counts every commit.
+  Server server(BankingOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+  Result<BeginResult> begun =
+      client.Begin("Deposit_ch", kNegotiateLevel, {{"i", 0}, {"d", 1}});
+  ASSERT_TRUE(begun.ok() && begun.value().admitted);
+  ASSERT_TRUE(client.Abort().ok());
+  constexpr int kTxns = 40;
+  std::set<std::string> committed_types;
+  for (int i = 0; i < kTxns; ++i) {
+    const bool deposit = i % 2 == 0;
+    Result<TxnResult> run = client.RunTxn(
+        deposit ? "Deposit_sav" : "Withdraw_ch", kNegotiateLevel,
+        {{"i", i % 4}, {deposit ? "d" : "w", 1}});
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    if (run.value().committed) committed_types.insert(run.value().txn_type);
+  }
+  ASSERT_FALSE(committed_types.empty());
+
+  Result<StatsResp> stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  const StatsResp& st = stats.value();
+  const double p50 = st.Gauge("p50_us");
+  EXPECT_GT(p50, 0);
+  EXPECT_LE(p50, st.Gauge("p95_us"));
+  EXPECT_LE(st.Gauge("p95_us"), st.Gauge("p99_us"));
+  std::set<std::string> gauge_types;
+  const std::string prefix = "type.";
+  const std::string suffix = ".p50_us";
+  for (const auto& [name, value] : st.gauges) {
+    if (!name.starts_with(prefix) || !name.ends_with(suffix)) continue;
+    gauge_types.insert(name.substr(
+        prefix.size(), name.size() - prefix.size() - suffix.size()));
+    EXPECT_GT(value, 0) << name;
+  }
+  EXPECT_EQ(gauge_types, committed_types);
+
+  const ServerMetricsSnapshot m = server.Metrics();
+  EXPECT_EQ(m.Aborted(), 1);
+  EXPECT_EQ(m.latency_ns.Count(), static_cast<uint64_t>(m.Committed()));
+  EXPECT_EQ(st.Counter("committed"), m.Committed());
   server.Stop();
 }
 

@@ -116,7 +116,8 @@ TEST_P(TpccConsistencyTest, ConcurrentMixPreservesConsistencyConditions) {
       [&](Rng& rng) {
         return w.DrawFromMix(rng, levels, IsoLevel::kSerializable);
       },
-      40, 20, &log, &wall);
+      40, RetryPolicy{.max_attempts = 21, .backoff_base_us = 50}, &log,
+      &wall);
   EXPECT_GT(stats.committed, 0);
   EXPECT_EQ(stats.retries_exhausted, 0);
 
