@@ -122,21 +122,47 @@ rm -f semcor_serverd.port
 rm -rf ci_wal_e10
 test -s BENCH_E10.json
 # One round trip per transaction: every inbound frame is an EXEC, a re-sent
-# EXEC after BUSY, a re-sent COMMIT after kBlocked, or a session frame. A
-# regression to per-statement round trips (~3 frames/txn) fails here.
+# EXEC after BUSY, or a session frame — exactly. A regression to more than
+# one request per transaction attempt fails here.
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
 r = json.load(open("BENCH_E10.json"))
 txns = r["committed"] + r["aborted"]
-budget = (txns + r["busy_retries"] + r["blocked_retries"]
-          + r["client_session_frames"])
+expected = txns + r["busy_retries"] + r["client_session_frames"]
 assert txns > 0, r
-assert r["server_frames_in"] <= budget, (r["server_frames_in"], budget, r)
+assert r["server_frames_in"] == expected, (r["server_frames_in"], expected, r)
 # Server latency gauges come from its histogram: present and ordered.
 assert 0 < r["p50_us"] <= r["p95_us"] <= r["p99_us"], r
 EOF
 fi
+
+# Lock-contention stage: every session at REPEATABLE READ, so conflicting
+# transactions wait for each other inside the server's lock manager and
+# wait-for-graph deadlocks abort one side. The run must finish (well inside
+# the timeout) with the server's counters matching the client tallies.
+rm -f semcor_serverd.port BENCH_E10RR.json
+./build/examples/semcor_serverd --workload=banking --port=0 \
+    --port-file=semcor_serverd.port --workers=4 &
+serverd_pid=$!
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+  test -s semcor_serverd.port && break
+  sleep 0.2
+done
+timeout 60 ./build/examples/semcor_bench_client \
+    --port="$(cat semcor_serverd.port)" --threads=8 --txns=2000 --levels=rr \
+    --report-id=E10RR --shutdown-server
+wait "$serverd_pid"
+rm -f semcor_serverd.port
+test -s BENCH_E10RR.json
+
+# Numeric daemon flags are range-checked before any narrowing cast: a
+# negative group-commit epoch must be a usage error (exit 2), not a wrapped
+# 71-minute epoch whose first commit never acks.
+serverd_status=0
+./build/examples/semcor_serverd --group-commit-us=-1 >/dev/null 2>&1 \
+    || serverd_status=$?
+test "$serverd_status" -eq 2
 
 # Crash-recovery stage: the daemon serves from a WAL directory, dies by
 # kill -9 mid-bench (torn tail and all), and a restart on the same directory
@@ -186,9 +212,9 @@ fi
 
 # Chaos soak: seeded fault injection at both I/O boundaries. Phase 1 drives
 # clients through the ChaosProxy (frame drops/truncation/duplication/delays/
-# splitting) against a server with statement/transaction/idle deadlines, then
-# drains gracefully; phase 2 serves from a WAL under a seeded disk-fault plan
-# with the panic fsync-failure policy, then recovers the faulted log and
+# splitting) against a server with an idle deadline, then drains gracefully;
+# phase 2 serves from a WAL under a seeded disk-fault plan with the panic
+# fsync-failure policy, then recovers the faulted log and
 # checks every acked commit survived. The binary exits non-zero if any
 # oracle (no leaked sessions, nothing in flight, invariant intact, acked
 # subset of recovered) fails; every fault replays from the seed.
@@ -300,9 +326,9 @@ fi
 # artifact is missing or unparsable (a bench that silently stopped writing
 # its JSON should break the build, not the dashboard).
 mkdir -p ci_artifacts
-for f in BENCH_E10.json BENCH_E10R.json BENCH_E12.json BENCH_E5.json \
-         BENCH_E6.json BENCH_E9.json BENCH_E11.json BENCH_E13.json \
-         BENCH_E14.json BENCH_E15S.json BENCH_E15.json; do
+for f in BENCH_E10.json BENCH_E10RR.json BENCH_E10R.json BENCH_E12.json \
+         BENCH_E5.json BENCH_E6.json BENCH_E9.json BENCH_E11.json \
+         BENCH_E13.json BENCH_E14.json BENCH_E15S.json BENCH_E15.json; do
   if [ ! -s "$f" ]; then
     echo "ci.sh: FAIL — expected bench artifact $f is missing or empty"
     exit 1

@@ -37,7 +37,6 @@ struct Tally {
   std::array<long, kIsoLevelCount> commits{};
   std::array<long, kIsoLevelCount> aborts{};
   long busy_retries = 0;
-  long blocked_retries = 0;
   long negotiated = 0;
   long advisor_correct = 0;
 
@@ -57,7 +56,6 @@ struct Tally {
       aborts[i] += other.aborts[i];
     }
     busy_retries += other.busy_retries;
-    blocked_retries += other.blocked_retries;
     negotiated += other.negotiated;
     advisor_correct += other.advisor_correct;
   }
@@ -163,7 +161,6 @@ int main(int argc, char** argv) {
           local.aborts[r.level]++;
         }
         local.busy_retries += r.busy_retries;
-        local.blocked_retries += r.blocked_retries;
         if (r.negotiated) local.negotiated++;
         if (r.advisor_correct) local.advisor_correct++;
       }
@@ -237,11 +234,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "bench: %ld committed, %ld aborted in %.2fs (%.0f tps); "
-      "busy_retries=%ld blocked_retries=%ld negotiated=%ld; "
+      "busy_retries=%ld negotiated=%ld; "
       "server p50=%.0fus p95=%.0fus p99=%.0fus; counters %s\n",
       total.Committed(), total.Aborted(), wall,
       wall > 0 ? total.Committed() / wall : 0, total.busy_retries,
-      total.blocked_retries, total.negotiated, stats.Gauge("p50_us"),
+      total.negotiated, stats.Gauge("p50_us"),
       stats.Gauge("p95_us"), stats.Gauge("p99_us"),
       consistent ? "consistent" : "INCONSISTENT");
   per_level.Print();
@@ -256,18 +253,16 @@ int main(int argc, char** argv) {
   json.Scalar("wall_s", wall);
   json.Scalar("throughput_tps", wall > 0 ? total.Committed() / wall : 0.0);
   json.Scalar("busy_retries", total.busy_retries);
-  json.Scalar("blocked_retries", total.blocked_retries);
   json.Scalar("negotiated", total.negotiated);
   json.Scalar("p50_us", stats.Gauge("p50_us"));
   json.Scalar("p95_us", stats.Gauge("p95_us"));
   json.Scalar("p99_us", stats.Gauge("p99_us"));
-  json.Scalar("server_deadlock_victims", stats.Counter("deadlock_victims"));
   json.Scalar("server_admission_rejected", stats.Counter("admission_rejected"));
   json.Scalar("server_invariant_ok", invariant_ok);
   // Frame accounting: RunTxn sends one EXEC per attempt, so frames_in is
-  // bounded by the transactions, their BUSY/kBlocked re-sends, and this
-  // client's own session frames (a HELLO per thread, the control HELLO and
-  // this STATS) — the ci.sh E10 stage gates on it.
+  // exactly the transactions, their BUSY re-sends, and this client's own
+  // session frames (a HELLO per thread, the control HELLO and this STATS) —
+  // the ci.sh E10 stage gates on it.
   json.Scalar("server_frames_in", stats.Counter("frames_in"));
   json.Scalar("client_session_frames", static_cast<long>(threads) + 2);
   // Durability counters: all zero when the server runs memory-only (the

@@ -5,9 +5,9 @@
 //
 // Two phases, each half the budget:
 //
-//   net:  a server with statement/transaction/idle deadlines serves clients
-//         through the ChaosProxy (frame drops, truncation, duplication,
-//         delays, byte-splitting). Individual transactions may fail
+//   net:  a server with an idle deadline serves clients through the
+//         ChaosProxy (frame drops, truncation, duplication, delays,
+//         byte-splitting). Individual transactions may fail
 //         arbitrarily; at the end the server must drain gracefully with
 //         nothing in flight, every session closed, and the workload
 //         invariant intact.
@@ -47,7 +47,6 @@ struct SoakCounters {
   std::atomic<long> committed{0};
   std::atomic<long> aborted{0};
   std::atomic<long> conn_errors{0};
-  std::atomic<long> timeouts{0};
 };
 
 /// Hammers RunTxn against `port` until the deadline, reconnecting (fresh
@@ -80,7 +79,6 @@ void ClientLoop(uint16_t port, uint64_t seed, steady_clock::time_point until,
       } else {
         out->aborted.fetch_add(1);
       }
-      if (run.value().timed_out) out->timeouts.fetch_add(1);
     }
   }
 }
@@ -118,14 +116,12 @@ int main(int argc, char** argv) {
   const auto phase_budget = seconds(duration_s) / 2;
   int failures = 0;
 
-  // ---- Phase 1: network chaos + deadlines + drain ----
+  // ---- Phase 1: network chaos + idle deadline + drain ----
   {
     semcor::net::ServerOptions sopts;
     sopts.workload = "banking";
     sopts.workers = 2;
     sopts.seed = seed;
-    sopts.stmt_timeout_us = 200'000;
-    sopts.txn_timeout_us = 1'000'000;
     sopts.idle_timeout_us = 2'000'000;
     semcor::net::Server server(sopts);
     if (semcor::Status s = server.Start(); !s.ok()) {
@@ -167,18 +163,16 @@ int main(int argc, char** argv) {
     std::printf(
         "semcor_chaos: net phase: attempted=%ld committed=%ld aborted=%ld "
         "conn_errors=%ld chaos(chunks=%ld closes=%ld truncates=%ld "
-        "dups=%ld) timeouts(stmt=%ld txn=%ld idle=%ld)\n",
+        "dups=%ld) idle_timeouts=%ld\n",
         net.attempted.load(), net.committed.load(), net.aborted.load(),
         net.conn_errors.load(), cs.chunks, cs.closes, cs.truncates,
-        cs.duplicates, m.stmt_timeouts, m.txn_timeouts, m.idle_timeouts);
+        cs.duplicates, m.idle_timeouts);
     json.Scalar("net_attempted", net.attempted.load());
     json.Scalar("net_committed", net.committed.load());
     json.Scalar("net_conn_errors", net.conn_errors.load());
     json.Scalar("net_chaos_chunks", cs.chunks);
     json.Scalar("net_chaos_closes", cs.closes);
     json.Scalar("net_chaos_truncates", cs.truncates);
-    json.Scalar("net_stmt_timeouts", m.stmt_timeouts);
-    json.Scalar("net_txn_timeouts", m.txn_timeouts);
     json.Scalar("net_idle_timeouts", m.idle_timeouts);
 
     if (m.inflight != 0) failures += Fail("net: transactions still in flight");

@@ -12,16 +12,19 @@
 // checkpoint), a client SHUTDOWN request, or --duration-s elapses.
 // Exit codes: 0 = clean shutdown, 1 = setup error (including WAL recovery
 // failure), 2 = usage error, 3 = the WAL froze on a device error under the
-// panic policy (acked durability could no longer be honoured).
+// panic policy (acked durability could no longer be honoured). A numeric
+// flag outside its range is a usage error, never silently wrapped.
 
 #include <unistd.h>
 
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "common/cli.h"
+#include "lock/lock_manager.h"
 #include "net/server.h"
 
 namespace {
@@ -36,6 +39,17 @@ void HandleStop(int) {
 
 void HandleDrain(int) {
   if (g_server != nullptr) g_server->RequestDrain();
+}
+
+/// Checked before any narrowing cast: a negative value would otherwise wrap
+/// to a huge unsigned one (a 71-minute group-commit epoch, an unbounded
+/// session queue, a lock-shard count the resharding loop never reaches).
+bool InRange(const char* flag, int64_t value, int64_t lo, int64_t hi) {
+  if (value >= lo && value <= hi) return true;
+  std::fprintf(stderr, "semcor_serverd: --%s=%lld out of range [%lld, %lld]\n",
+               flag, static_cast<long long>(value), static_cast<long long>(lo),
+               static_cast<long long>(hi));
+  return false;
 }
 
 }  // namespace
@@ -64,15 +78,15 @@ int main(int argc, char** argv) {
             "tpcc: customers per warehouse");
   flags.Int("tpcc-items", &options.tpcc_items, "tpcc: items in the catalog");
   flags.Int("port", &port, "TCP port to bind on 127.0.0.1 (0 = ephemeral)");
-  flags.Int("workers", &options.workers, "worker threads executing statements");
+  flags.Int("workers", &options.workers,
+            "worker threads, each running one transaction at a time (1..1024)");
   flags.I64("max-inflight", &max_inflight,
             "admission control: max concurrent transactions");
   flags.I64("queue-limit", &queue_limit,
             "per-session pending-request cap before BUSY");
-  flags.Int("blocked-abort-threshold", &options.blocked_abort_threshold,
-            "consecutive blocked retries before a deadlock-victim abort");
   flags.U64("seed", &options.seed, "seed for server-side draws");
-  flags.I64("lock-shards", &lock_shards, "lock manager shards (0 = default)");
+  flags.I64("lock-shards", &lock_shards,
+            "lock manager shards (0 = default, at most 64)");
   flags.Str("port-file", &port_file, "write the bound port to this file");
   flags.Int("duration-s", &duration_s, "stop after N seconds (0 = run forever)");
   flags.Str("wal-dir", &options.wal_dir,
@@ -80,27 +94,28 @@ int main(int argc, char** argv) {
   flags.Str("wal-fsync", &options.wal_fsync,
             "WAL fsync policy: none|per_commit|group");
   flags.I64("group-commit-us", &group_commit_us,
-            "group-commit epoch length in microseconds");
+            "group-commit epoch length in microseconds (0..1000000)");
   flags.Str("wal-fsync-failure", &options.wal_fsync_failure,
             "reaction to a failed WAL fsync: panic|degrade");
   flags.Str("disk-faults", &options.disk_faults,
             "deterministic WAL fault plan: none | seed:N[:p_append[:p_short"
             "[:p_sync]]]");
-  flags.DurationUs("stmt-timeout", &options.stmt_timeout_us,
-                   "max blocked time per statement, 0 = off (us/ms/s suffix, "
-                   "bare = ms)");
-  flags.DurationUs("txn-timeout", &options.txn_timeout_us,
-                   "max BEGIN-to-decision time per transaction, 0 = off");
   flags.DurationUs("idle-timeout", &options.idle_timeout_us,
                    "reap sessions with no inbound frames for this long, "
-                   "0 = off");
+                   "0 = off (us/ms/s suffix, bare = ms)");
   flags.DurationUs("drain-timeout", &options.drain_timeout_us,
                    "SIGTERM drain: wait this long for in-flight transactions "
                    "before forcing stop");
   if (!flags.Parse(argc, argv)) return 2;
   if (flags.help_requested() || flags.version_requested()) return 0;
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "semcor_serverd: bad --port=%d\n", port);
+  if (!InRange("port", port, 0, 65535) ||
+      !InRange("workers", options.workers, 1, 1024) ||
+      !InRange("max-inflight", max_inflight, 1, INT_MAX) ||
+      !InRange("queue-limit", queue_limit, 1, INT_MAX) ||
+      !InRange("lock-shards", lock_shards, 0,
+               static_cast<int64_t>(semcor::LockManager::kMaxShards)) ||
+      !InRange("group-commit-us", group_commit_us, 0, 1'000'000) ||
+      !InRange("duration-s", duration_s, 0, INT_MAX)) {
     return 2;
   }
   options.port = static_cast<uint16_t>(port);
@@ -150,12 +165,11 @@ int main(int argc, char** argv) {
   const semcor::net::ServerMetricsSnapshot m = server.Metrics();
   std::printf(
       "semcor_serverd: stopped%s; sessions=%ld txns=%ld committed=%ld "
-      "aborted=%ld deadlock_victims=%ld admission_rejected=%ld "
-      "timeouts=%ld/%ld/%ld invariant_ok=%d\n",
+      "aborted=%ld deadlocks=%ld admission_rejected=%ld idle_timeouts=%ld "
+      "invariant_ok=%d\n",
       drained ? " (drained)" : "", m.sessions_accepted,
-      m.Committed() + m.Aborted(), m.Committed(), m.Aborted(),
-      m.deadlock_victims, m.admission_rejected, m.stmt_timeouts,
-      m.txn_timeouts, m.idle_timeouts, server.InvariantHolds() ? 1 : 0);
+      m.Committed() + m.Aborted(), m.Committed(), m.Aborted(), m.deadlocks,
+      m.admission_rejected, m.idle_timeouts, server.InvariantHolds() ? 1 : 0);
   if (semcor::Status wal = server.WalFailure(); !wal.ok()) {
     std::fprintf(stderr,
                  "semcor_serverd: WAL froze under the panic policy: %s\n",

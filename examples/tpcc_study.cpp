@@ -227,7 +227,6 @@ int main(int argc, char** argv) {
       const net::TxnResult& r = run.value();
       out.type = r.txn_type;
       out.committed = r.committed;
-      out.timed_out = r.timed_out;
       out.busy_retries = r.busy_retries;
       return out;
     });

@@ -2,6 +2,7 @@
 #define SEMCOR_COMMON_CLI_H_
 
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -219,6 +220,7 @@ class Flags {
         const long long v = std::strtoll(value.c_str(), &end, 10);
         if (errno != 0 || end != value.c_str() + value.size()) return false;
         if (flag.kind == Kind::kInt) {
+          if (v < INT_MIN || v > INT_MAX) return false;  // never wrap
           *static_cast<int*>(flag.target) = static_cast<int>(v);
         } else {
           *static_cast<int64_t*>(flag.target) = v;

@@ -69,10 +69,6 @@ LoadReport LoadGenerator::Run() {
         ++t.aborted;
         ++local.aborted;
       }
-      if (out.timed_out) {
-        ++t.timeouts;
-        ++local.timeouts;
-      }
     }
   };
 
@@ -92,7 +88,6 @@ LoadReport LoadGenerator::Run() {
     report.committed += p.committed;
     report.aborted += p.aborted;
     report.busy += p.busy;
-    report.timeouts += p.timeouts;
     report.dropped += p.dropped;
     report.latency.Merge(p.latency);
     for (const auto& [type, stats] : p.per_type) {
@@ -102,7 +97,6 @@ LoadReport LoadGenerator::Run() {
       t.committed += stats.committed;
       t.aborted += stats.aborted;
       t.busy += stats.busy;
-      t.timeouts += stats.timeouts;
       t.busy_retries += stats.busy_retries;
     }
   }

@@ -33,7 +33,6 @@ struct OpOutcome {
   std::string type;        ///< transaction type (histogram key)
   bool committed = false;
   bool busy = false;       ///< server shed it (admission BUSY / retry-after)
-  bool timed_out = false;
   int busy_retries = 0;    ///< BUSY bounces absorbed before the outcome
 };
 
@@ -49,7 +48,6 @@ struct TypeStats {
   long committed = 0;
   long aborted = 0;
   long busy = 0;
-  long timeouts = 0;
   long busy_retries = 0;
 };
 
@@ -61,7 +59,6 @@ struct LoadReport {
   long committed = 0;      ///< measured commits
   long aborted = 0;        ///< measured aborts (incl. forced rollbacks)
   long busy = 0;           ///< measured BUSY outcomes
-  long timeouts = 0;
   long dropped = 0;        ///< arrivals abandoned past the drain horizon
   double measured_seconds = 0;
   /// Measured commits per second of measurement window.

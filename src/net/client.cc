@@ -85,6 +85,7 @@ void Client::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  parser_ = FrameParser();
 }
 
 Status Client::SendRaw(const std::string& bytes) {
@@ -159,29 +160,12 @@ Result<Frame> Client::Call(MsgType type, const std::string& payload) {
 }
 
 Result<Frame> Client::NextResponse() {
-  for (;;) {
-    Frame frame;
-    if (Status s = RecvFrame(&frame); !s.ok()) return s;
-    if (frame.type != MsgType::kTimeout) return frame;
-    Result<TimeoutResp> timeout = TimeoutResp::Decode(frame.payload);
-    if (!timeout.ok()) return timeout.status();
-    switch (static_cast<TimeoutKind>(timeout.value().what)) {
-      case TimeoutKind::kStatement:
-        // The server aborted the statement we were waiting on: this frame
-        // IS the response.
-        timed_out_ = true;
-        return frame;
-      case TimeoutKind::kTxn:
-        // Unsolicited (the sweep aborted between our frames); the response
-        // to the request we just sent is still on the wire behind it.
-        timed_out_ = true;
-        continue;
-      case TimeoutKind::kIdle:
-        return Status::Timeout(
-            StrCat("session reaped: ", timeout.value().detail));
-    }
-    return Status::Internal("bad TIMEOUT kind");
-  }
+  Frame frame;
+  if (Status s = RecvFrame(&frame); !s.ok()) return s;
+  if (frame.type != MsgType::kTimeout) return frame;
+  Result<TimeoutResp> timeout = TimeoutResp::Decode(frame.payload);
+  if (!timeout.ok()) return timeout.status();
+  return Status::Timeout(StrCat("session reaped: ", timeout.value().detail));
 }
 
 Result<HelloResp> Client::Hello() {
@@ -195,57 +179,10 @@ Result<HelloResp> Client::Hello() {
 
 namespace {
 
-std::string EncodeBegin(
-    const std::string& txn_type, uint8_t level,
-    const std::vector<std::pair<std::string, int64_t>>& params) {
-  BeginReq req;
-  req.txn_type = txn_type;
-  req.requested_level = level;
-  req.params = params;
-  return req.Encode();
-}
-
-/// The answer to BEGIN, or the first answer to EXEC: BEGIN_OK, or BUSY when
-/// the server did not admit the transaction.
-Result<BeginResult> AsBeginResult(const Frame& frame) {
-  BeginResult result;
-  if (frame.type == MsgType::kBusy) {
-    Result<BusyResp> busy = BusyResp::Decode(frame.payload);
-    if (!busy.ok()) return busy.status();
-    result.retry_after_ms = busy.value().retry_after_ms;
-    return result;  // admitted == false
-  }
-  if (frame.type != MsgType::kBeginOk) return Unexpected(frame);
-  Result<BeginResp> resp = BeginResp::Decode(frame.payload);
-  if (!resp.ok()) return resp.status();
-  result.admitted = true;
-  result.resp = resp.take();
-  return result;
-}
-
-/// Shared tail for STMT/COMMIT/ABORT: a step report, or one of the frames
-/// that fold into it — BUSY (session queue backpressure) becomes kBlocked;
-/// a statement TIMEOUT becomes kAborted; a kNotDurable error becomes
-/// kAborted too, because whatever the live store did, the server would not
+/// The EXEC's terminal answer: a step report, or a kNotDurable error, which
+/// becomes kAborted — whatever the live store did, the server would not
 /// promise the commit survives a crash and the client must not count it.
 Result<StepResp> AsStepReport(const Frame& frame) {
-  if (frame.type == MsgType::kBusy) {
-    Result<BusyResp> busy = BusyResp::Decode(frame.payload);
-    if (!busy.ok()) return busy.status();
-    StepResp blocked;
-    blocked.outcome = static_cast<uint8_t>(StepWire::kBlocked);
-    blocked.retry_after_ms = busy.value().retry_after_ms;
-    blocked.detail = busy.value().reason;
-    return blocked;
-  }
-  if (frame.type == MsgType::kTimeout) {
-    Result<TimeoutResp> timeout = TimeoutResp::Decode(frame.payload);
-    if (!timeout.ok()) return timeout.status();
-    StepResp aborted;
-    aborted.outcome = static_cast<uint8_t>(StepWire::kAborted);
-    aborted.detail = timeout.value().detail;
-    return aborted;
-  }
   if (frame.type == MsgType::kError) {
     Result<ErrorResp> err = ErrorResp::Decode(frame.payload);
     if (err.ok() &&
@@ -261,35 +198,6 @@ Result<StepResp> AsStepReport(const Frame& frame) {
 }
 
 }  // namespace
-
-Result<BeginResult> Client::Begin(
-    const std::string& txn_type, uint8_t level,
-    const std::vector<std::pair<std::string, int64_t>>& params) {
-  Result<Frame> frame =
-      Call(MsgType::kBegin, EncodeBegin(txn_type, level, params));
-  if (!frame.ok()) return frame.status();
-  return AsBeginResult(frame.value());
-}
-
-Result<StepResp> Client::Stmt(uint32_t max_steps) {
-  StmtReq req;
-  req.max_steps = max_steps;
-  Result<Frame> frame = Call(MsgType::kStmt, req.Encode());
-  if (!frame.ok()) return frame.status();
-  return AsStepReport(frame.value());
-}
-
-Result<StepResp> Client::Commit() {
-  Result<Frame> frame = Call(MsgType::kCommit, "");
-  if (!frame.ok()) return frame.status();
-  return AsStepReport(frame.value());
-}
-
-Result<StepResp> Client::Abort() {
-  Result<Frame> frame = Call(MsgType::kAbort, "");
-  if (!frame.ok()) return frame.status();
-  return AsStepReport(frame.value());
-}
 
 Result<StatsResp> Client::Stats() {
   Result<Frame> frame = Call(MsgType::kStats, "");
@@ -312,69 +220,47 @@ Result<TxnResult> Client::RunTxn(
     const std::vector<std::pair<std::string, int64_t>>& params,
     int max_busy_retries) {
   TxnResult result;
-  timed_out_ = false;
-  // Consecutive-retry counter drives the exponential; any real progress
-  // resets it so a long transaction is not punished for early contention.
-  int attempt = 0;
-  auto backoff = [&](uint32_t server_hint_ms) {
-    const uint32_t ms = NextBackoffMs(attempt++, server_hint_ms);
-    result.backoff_ms += ms;
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  };
-
-  // EXEC: BEGIN, body and COMMIT in one round trip. BUSY means the server
-  // did not admit the transaction; re-send the EXEC after a nap.
-  const std::string exec = EncodeBegin(txn_type, level, params);
-  for (;;) {
+  BeginReq req;
+  req.txn_type = txn_type;
+  req.requested_level = level;
+  req.params = params;
+  const std::string exec = req.Encode();
+  // The first answer is BEGIN_OK, or BUSY when the server did not admit the
+  // transaction: nap (exponentially longer each time) and re-send the EXEC.
+  Frame admitted;
+  for (int attempt = 0;; ++attempt) {
     Result<Frame> frame = Call(MsgType::kExec, exec);
     if (!frame.ok()) return frame.status();
-    Result<BeginResult> begin = AsBeginResult(frame.value());
-    if (!begin.ok()) return begin.status();
-    if (begin.value().admitted) {
-      const BeginResp& resp = begin.value().resp;
-      result.txn_type = resp.txn_type;
-      result.level = resp.level;
-      result.negotiated = resp.negotiated;
-      result.advisor_correct = resp.advisor_correct;
+    if (frame.value().type != MsgType::kBusy) {
+      admitted = frame.take();
       break;
     }
+    Result<BusyResp> busy = BusyResp::Decode(frame.value().payload);
+    if (!busy.ok()) return busy.status();
     if (++result.busy_retries > max_busy_retries) {
       return Status::Aborted("server busy: admission retries exhausted");
     }
-    backoff(begin.value().retry_after_ms);
+    const uint32_t ms = NextBackoffMs(attempt, busy.value().retry_after_ms);
+    result.backoff_ms += ms;
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
-  attempt = 0;
+  if (admitted.type != MsgType::kBeginOk) return Unexpected(admitted);
+  Result<BeginResp> begin = BeginResp::Decode(admitted.payload);
+  if (!begin.ok()) return begin.status();
+  result.txn_type = begin.value().txn_type;
+  result.level = begin.value().level;
+  result.negotiated = begin.value().negotiated;
+  result.advisor_correct = begin.value().advisor_correct;
 
-  // The step report follows BEGIN_OK. kBlocked leaves the transaction open:
-  // re-send COMMIT, which runs the rest of the body and commits. The
-  // server's bounded-wait policy (and, with deadlines enabled, the statement
-  // timeout) guarantees this terminates.
+  // The terminal report follows BEGIN_OK.
   Result<Frame> report = NextResponse();
   if (!report.ok()) return report.status();
   Result<StepResp> step = AsStepReport(report.value());
-  for (;;) {
-    if (!step.ok()) return step.status();
-    const StepResp& r = step.value();
-    switch (static_cast<StepWire>(r.outcome)) {
-      case StepWire::kBlocked:
-        result.blocked_retries++;
-        backoff(r.retry_after_ms);
-        break;
-      case StepWire::kRunning:
-      case StepWire::kBodyDone:
-        // Neither EXEC nor COMMIT stops early; COMMIT finishes the run.
-        attempt = 0;
-        break;
-      case StepWire::kCommitted:
-      case StepWire::kAborted:
-        result.committed =
-            static_cast<StepWire>(r.outcome) == StepWire::kCommitted;
-        result.detail = r.detail;
-        result.timed_out = timed_out_;
-        return result;
-    }
-    step = Commit();
-  }
+  if (!step.ok()) return step.status();
+  result.committed =
+      static_cast<StepWire>(step.value().outcome) == StepWire::kCommitted;
+  result.detail = step.value().detail;
+  return result;
 }
 
 }  // namespace semcor::net

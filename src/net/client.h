@@ -19,21 +19,12 @@ struct ClientOptions {
   int recv_timeout_ms = 20000;
   std::string client_name = "semcor-client";
   /// RunTxn retry backoff: exponential from base to max (doubling per
-  /// consecutive BUSY/kBlocked), with deterministic jitter drawn from
+  /// consecutive BUSY), with deterministic jitter drawn from
   /// backoff_seed so a fixed seed replays the identical sleep sequence.
   /// The server's retry-after hint always acts as a floor.
   uint32_t backoff_base_ms = 1;
   uint32_t backoff_max_ms = 64;
   uint64_t backoff_seed = 1;
-};
-
-/// BEGIN (or EXEC admission) outcome: either a transaction slot (resp
-/// valid) or a backpressure signal (admitted == false, retry after the
-/// hint).
-struct BeginResult {
-  bool admitted = false;
-  uint32_t retry_after_ms = 0;
-  BeginResp resp;
 };
 
 /// End-to-end outcome of one RunTxn call.
@@ -45,9 +36,7 @@ struct TxnResult {
   bool advisor_correct = false;
   std::string detail;        ///< abort reason when !committed
   int busy_retries = 0;      ///< BUSY responses absorbed (admission/queue)
-  int blocked_retries = 0;   ///< kBlocked step reports absorbed
   uint64_t backoff_ms = 0;   ///< total retry sleep this call
-  bool timed_out = false;    ///< aborted by a server-side deadline
 };
 
 /// Blocking client for the semcor transaction server. One connection, one
@@ -62,28 +51,22 @@ class Client {
 
   /// TCP connect only; Hello() completes the protocol handshake.
   Status Connect();
+  /// Closes the socket and forgets any partly parsed input, so a later
+  /// Connect() starts from a clean stream.
   void Close();
   bool connected() const { return fd_ >= 0; }
 
   Result<HelloResp> Hello();
-
-  /// level: an IsoLevel index, or kNegotiateLevel for server-side selection.
-  /// txn_type empty = server draws from its mix; params empty = random.
-  Result<BeginResult> Begin(
-      const std::string& txn_type, uint8_t level,
-      const std::vector<std::pair<std::string, int64_t>>& params = {});
-
-  Result<StepResp> Stmt(uint32_t max_steps = 64);
-  Result<StepResp> Commit();
-  Result<StepResp> Abort();
   Result<StatsResp> Stats();
   Status Shutdown();
 
-  /// Drives one transaction to a terminal state in one EXEC round trip
-  /// (BEGIN, body and COMMIT server-side). Absorbs BUSY (admission or queue
-  /// backpressure) by sleeping for the server's retry hint and re-sending
-  /// the EXEC, and a kBlocked report by sleeping and re-sending COMMIT.
-  /// Gives up after `max_busy_retries` consecutive BUSY responses.
+  /// Runs one transaction to a terminal state in one EXEC round trip: the
+  /// server runs BEGIN, the body and COMMIT, waiting out lock conflicts
+  /// itself. level: an IsoLevel index, or kNegotiateLevel for server-side
+  /// selection; txn_type empty = the server draws from its mix; params
+  /// empty = random. Absorbs BUSY (admission or queue backpressure) by
+  /// sleeping for the server's retry hint and re-sending the EXEC; gives up
+  /// after `max_busy_retries` consecutive BUSY responses.
   Result<TxnResult> RunTxn(
       const std::string& txn_type, uint8_t level,
       const std::vector<std::pair<std::string, int64_t>>& params = {},
@@ -101,21 +84,17 @@ class Client {
   uint32_t NextBackoffMs(int attempt, uint32_t server_hint_ms);
 
  private:
-  /// Sends a request and returns its response frame. Unsolicited TIMEOUT
-  /// frames (a sweep aborted the transaction between requests) are absorbed
-  /// here: statement timeouts ARE the response, transaction timeouts are
-  /// noted (timed_out_) and skipped, idle timeouts fail the call — the
-  /// server is closing this connection.
+  /// Sends a request and returns its response frame.
   Result<Frame> Call(MsgType type, const std::string& payload);
-  /// Call's receive half: the next response frame, with the same TIMEOUT
-  /// handling. EXEC uses it for the step report that follows BEGIN_OK.
+  /// Call's receive half: the next response frame. An idle-reap TIMEOUT
+  /// fails the call (the server is closing this connection). EXEC uses it
+  /// for the step report that follows BEGIN_OK.
   Result<Frame> NextResponse();
 
   ClientOptions options_;
   int fd_ = -1;
   FrameParser parser_;
   uint64_t backoff_state_ = 0;
-  bool timed_out_ = false;  ///< an unsolicited TIMEOUT arrived
 };
 
 }  // namespace semcor::net

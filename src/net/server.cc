@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "sem/expr/eval.h"
+#include "txn/interpreter.h"
 
 namespace semcor::net {
 
@@ -54,13 +55,6 @@ std::string ErrorFrame(WireError code, const std::string& message) {
   return EncodeFrame(MsgType::kError, resp.Encode());
 }
 
-std::string TimeoutFrame(TimeoutKind kind, const std::string& detail) {
-  TimeoutResp resp;
-  resp.what = static_cast<uint8_t>(kind);
-  resp.detail = detail;
-  return EncodeFrame(MsgType::kTimeout, resp.Encode());
-}
-
 /// Frames in an encoded reply: one, except EXEC's BEGIN_OK + step report.
 long CountFrames(const std::string& bytes) {
   long frames = 0;
@@ -89,8 +83,8 @@ long ServerMetricsSnapshot::Aborted() const {
   return n;
 }
 
-/// All counters behind one mutex; workers touch it only at txn boundaries
-/// and on blocked retries, never per row.
+/// All counters behind one mutex; workers touch it only at txn boundaries,
+/// never per row.
 struct Server::MetricsState {
   mutable std::mutex mu;
   ServerMetricsSnapshot data;
@@ -99,9 +93,10 @@ struct Server::MetricsState {
 /// Connection state. Field ownership follows the threading model:
 ///  - `fd`, registration, and all socket I/O belong to the loop thread.
 ///  - Everything under `mu` (queue, outbox, flags) is shared loop<->worker.
-///  - The transaction fields (`run`, `level_idx`, ...) are touched only by
-///    the worker that holds the `in_worker` baton, or by whoever performs
-///    the one-shot cleanup after `closed` — never concurrently.
+///  - `rng` and `hello_done` are touched only by the worker that holds the
+///    `in_worker` baton.
+/// A session holds no transaction state: each EXEC runs start to finish
+/// inside one worker call.
 struct Server::Session {
   int fd = -1;
   uint64_t id = 0;
@@ -114,32 +109,9 @@ struct Server::Session {
   bool in_worker = false;     ///< a worker holds this session's baton
   bool closed = false;        ///< fd closed / deregistered by the loop
   bool close_after_flush = false;
-  bool cleaned = false;       ///< one-shot transaction cleanup done
+  MonoTime last_activity{};   ///< set at accept + every inbound read
 
-  // Deadline state shared with the loop thread's sweep (under mu). The
-  // transaction itself stays worker-owned; the sweep only reads the mirror
-  // (txn_active/txn_deadline) and raises timeout_pending — the abort itself
-  // is always performed by a worker holding the baton.
-  MonoTime last_activity{};    ///< set at accept + every inbound read
-  bool txn_active = false;     ///< mirrors run != nullptr
-  MonoTime txn_deadline{};     ///< valid while txn_active (0 timeout: unset)
-  bool timeout_pending = false;
-  uint8_t timeout_kind = 0;    ///< TimeoutKind, set with timeout_pending
-  std::string timeout_detail;
-
-  // Worker-owned transaction state (see ownership note above).
   bool hello_done = false;
-  std::unique_ptr<ProgramRun> run;
-  std::string txn_type;
-  int level_idx = 0;
-  int blocked_streak = 0;
-  std::chrono::steady_clock::time_point begin_time;
-  MonoTime blocked_since{};    ///< first blocked attempt of this statement
-  uint8_t pending_timeout_kind = 0;  ///< FinishTxn emits TIMEOUT when set
-  /// After a sweep-driven timeout abort, the client's in-flight STMT/COMMIT
-  /// still deserves a transactional answer (kAborted with this detail), not
-  /// a kBadState protocol error.
-  std::string last_timeout_detail;
 };
 
 Server::Server(ServerOptions options)
@@ -191,7 +163,7 @@ Status Server::Start() {
     mgr_.ResetIds(recovery_.max_txn_id + 1);
   }
 
-  // The §5 analysis runs once at startup; BEGIN negotiation is then a map
+  // The §5 analysis runs once at startup; EXEC negotiation is then a map
   // lookup, so static checking never sits on the request path. The advisor
   // stays resident: its obligation cache makes re-advising after a workload
   // edit O(K) pair checks instead of a fresh O(K²) sweep.
@@ -243,10 +215,7 @@ Status Server::Start() {
   }
   // Timers are loop-thread-only, so the first deadline sweep is scheduled
   // from OnWakeup rather than here.
-  if (options_.stmt_timeout_us > 0 || options_.txn_timeout_us > 0 ||
-      options_.idle_timeout_us > 0) {
-    loop_.Wakeup();
-  }
+  if (options_.idle_timeout_us > 0) loop_.Wakeup();
   return Status::Ok();
 }
 
@@ -270,16 +239,12 @@ void Server::Stop() {
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
-  // With every thread joined, session state is exclusively ours.
-  for (auto& [fd, session] : sessions_) {
-    std::lock_guard<std::mutex> lock(session->mu);
-    session->closed = true;
-    ReleaseTxn(*session, "server stop");
-    ::close(fd);
-  }
+  // With every thread joined, session state is exclusively ours, and every
+  // transaction has settled (none outlives its worker call).
+  for (auto& [fd, session] : sessions_) ::close(fd);
   sessions_.clear();
-  // After the force-aborts above the WAL has seen every transaction end;
-  // a final checkpoint makes the next start's recovery trivial.
+  // The WAL has seen every transaction end; a final checkpoint makes the
+  // next start's recovery trivial.
   if (wal_) {
     wal_->Checkpoint();
     wal_->Stop();
@@ -436,9 +401,8 @@ void Server::CloseSession(std::shared_ptr<Session> session) {
     loop_.Deregister(session->fd);
     ::close(session->fd);
     sessions_.erase(session->fd);
-    // If a worker holds the baton it performs the transaction cleanup when
-    // it drains; otherwise the session is idle and cleanup is ours.
-    if (!session->in_worker) ReleaseTxn(*session, "disconnect");
+    // A worker running this session's EXEC finishes the transaction and
+    // drops the answer (see ServeSession).
     shutdown_now = shutdown_requested_.load(std::memory_order_acquire);
   }
   {
@@ -461,9 +425,7 @@ void Server::OnWakeup() {
   if (draining_.load(std::memory_order_acquire) && !drain_started_) {
     BeginDrain();
   }
-  if (!sweep_scheduled_ &&
-      (options_.stmt_timeout_us > 0 || options_.txn_timeout_us > 0 ||
-       options_.idle_timeout_us > 0 || drain_started_)) {
+  if (!sweep_scheduled_ && (options_.idle_timeout_us > 0 || drain_started_)) {
     sweep_scheduled_ = true;
     loop_.timers().ScheduleAfter(std::chrono::microseconds(0),
                                  [this] { SweepDeadlines(); });
@@ -473,7 +435,7 @@ void Server::OnWakeup() {
 void Server::BeginDrain() {
   drain_started_ = true;
   // No new connections; existing sessions keep their sockets until their
-  // transactions settle (new BEGINs are refused with kShuttingDown).
+  // transactions settle (new EXECs are refused with kShuttingDown).
   if (listen_fd_ >= 0) {
     loop_.Deregister(listen_fd_);
     ::close(listen_fd_);
@@ -488,49 +450,33 @@ void Server::BeginDrain() {
 
 void Server::SweepDeadlines() {
   const MonoTime now = MonoClock::now();
-  const auto stmt_to = std::chrono::microseconds(options_.stmt_timeout_us);
-  const auto txn_to = std::chrono::microseconds(options_.txn_timeout_us);
   const auto idle_to = std::chrono::microseconds(options_.idle_timeout_us);
   std::vector<std::shared_ptr<Session>> to_close;
-  std::vector<std::shared_ptr<Session>> to_enqueue;
   for (auto& [fd, session] : sessions_) {
     std::lock_guard<std::mutex> lock(session->mu);
     if (session->closed) continue;
     if (options_.idle_timeout_us > 0 && !session->in_worker &&
         session->pending.empty() && now - session->last_activity >= idle_to) {
-      // Reap regardless of transaction or outbox state: a peer that stopped
-      // reading (or a half-open connection) would otherwise park a session
-      // — and any locks its transaction holds — until process exit. The
-      // TIMEOUT frame is best-effort; the close is not.
-      session->outbox += TimeoutFrame(
-          TimeoutKind::kIdle,
-          StrCat("idle for ", options_.idle_timeout_us, "us"));
+      // Reap regardless of outbox state: a peer that stopped reading (or a
+      // half-open connection) would otherwise keep its session, socket and
+      // unsent bytes until process exit. The TIMEOUT frame is best-effort;
+      // the close is not.
+      TimeoutResp timeout;
+      timeout.what = static_cast<uint8_t>(TimeoutKind::kIdle);
+      timeout.detail = StrCat("idle for ", options_.idle_timeout_us, "us");
+      session->outbox += EncodeFrame(MsgType::kTimeout, timeout.Encode());
       {
         std::lock_guard<std::mutex> mlock(metrics_->mu);
         metrics_->data.idle_timeouts++;
         metrics_->data.frames_out++;
       }
       to_close.push_back(session);
-      continue;
-    }
-    if (options_.txn_timeout_us > 0 && session->txn_active &&
-        !session->timeout_pending && now >= session->txn_deadline) {
-      // Mark and hand to a worker: only a baton holder may touch the run.
-      session->timeout_pending = true;
-      session->timeout_kind = static_cast<uint8_t>(TimeoutKind::kTxn);
-      session->timeout_detail =
-          StrCat("transaction exceeded ", options_.txn_timeout_us, "us");
-      if (!session->in_worker) {
-        session->in_worker = true;
-        to_enqueue.push_back(session);
-      }
     }
   }
   for (auto& session : to_close) {
     TryFlush(session);       // best-effort TIMEOUT bytes
     CloseSession(session);   // idempotent if TryFlush already closed
   }
-  for (auto& session : to_enqueue) EnqueueWork(session);
 
   if (drain_started_) {
     long inflight;
@@ -561,14 +507,13 @@ void Server::SweepDeadlines() {
       return;
     }
   }
-  // Re-arm: quarter of the tightest deadline, clamped to [5ms, 250ms]
-  // (drain polls at the floor so completion is noticed promptly).
+  // Re-arm: a quarter of the idle timeout, clamped to [5ms, 250ms] (drain
+  // polls at the floor so completion is noticed promptly).
   uint64_t period_us = 250'000;
-  for (uint64_t t : {options_.stmt_timeout_us, options_.txn_timeout_us,
-                     options_.idle_timeout_us}) {
-    if (t > 0) period_us = std::min(period_us, t / 4);
+  if (options_.idle_timeout_us > 0) {
+    period_us = std::min(period_us, options_.idle_timeout_us / 4);
   }
-  if (drain_started_) period_us = std::min<uint64_t>(period_us, 5'000);
+  if (drain_started_) period_us = 5'000;
   period_us = std::max<uint64_t>(period_us, 5'000);
   loop_.timers().ScheduleAfter(std::chrono::microseconds(period_us),
                                [this] { SweepDeadlines(); });
@@ -618,42 +563,26 @@ void Server::ServeSession(const std::shared_ptr<Session>& session) {
   int fd = -1;
   for (;;) {
     Frame frame;
-    bool handle_timeout = false;
-    uint8_t timeout_kind = 0;
-    std::string timeout_detail;
     {
       std::lock_guard<std::mutex> lock(session->mu);
       if (session->closed) {
         session->in_worker = false;
-        ReleaseTxn(*session, "disconnect");
         return;  // fd already closed; nothing to flush
       }
-      if (session->timeout_pending) {
-        // Sweep-marked deadline: handled before any queued frame so the
-        // abort happens now, not after more statements run.
-        session->timeout_pending = false;
-        handle_timeout = true;
-        timeout_kind = session->timeout_kind;
-        timeout_detail = std::move(session->timeout_detail);
-        session->timeout_detail.clear();
-      } else if (session->pending.empty()) {
+      if (session->pending.empty()) {
         session->in_worker = false;
         fd = session->fd;
         break;
-      } else {
-        frame = std::move(session->pending.front());
-        session->pending.pop_front();
       }
+      frame = std::move(session->pending.front());
+      session->pending.pop_front();
     }
-    // The baton (`in_worker`) makes this the only thread touching the
-    // session's transaction, so Dispatch runs without the session mutex.
-    std::string resp = handle_timeout
-                           ? HandleTimeout(*session, timeout_kind,
-                                           timeout_detail)
-                           : Dispatch(*session, frame);
+    // The baton (`in_worker`) makes this the only thread serving the
+    // session, so Dispatch runs without the session mutex.
+    std::string resp = Dispatch(*session, frame);
     {
       std::lock_guard<std::mutex> lock(session->mu);
-      if (!resp.empty() && !session->closed) {
+      if (!session->closed) {
         session->outbox += resp;
         std::lock_guard<std::mutex> mlock(metrics_->mu);
         metrics_->data.frames_out += CountFrames(resp);
@@ -667,62 +596,8 @@ std::string Server::Dispatch(Session& session, const Frame& frame) {
   switch (frame.type) {
     case MsgType::kHello:
       return HandleHello(session, frame);
-    case MsgType::kBegin:
-      return HandleBegin(session, frame);
-    case MsgType::kExec: {
-      // One round trip: admit, then run the body through COMMIT in this
-      // same worker pass. Both answers go out in one outbox write. A
-      // transaction that was not admitted gets HandleBegin's lone BUSY or
-      // ERROR (including kBadState when one is already active).
-      const bool idle = !session.run;
-      std::string reply = HandleBegin(session, frame);
-      if (!idle || !session.run) return reply;
-      return reply +
-             HandleStep(session, UINT32_MAX, /*stop_before_commit=*/false);
-    }
-    case MsgType::kStmt: {
-      Result<StmtReq> req = StmtReq::Decode(frame.payload);
-      if (!req.ok()) {
-        std::lock_guard<std::mutex> lock(metrics_->mu);
-        metrics_->data.protocol_errors++;
-        return ErrorFrame(WireError::kBadFrame, req.status().message());
-      }
-      if (!session.run) {
-        if (!session.last_timeout_detail.empty()) {
-          // The sweep aborted this transaction between the client's frames;
-          // answer transactionally so the client retries instead of treating
-          // it as a protocol error.
-          StepResp resp;
-          resp.outcome = static_cast<uint8_t>(StepWire::kAborted);
-          resp.detail = session.last_timeout_detail;
-          session.last_timeout_detail.clear();
-          return EncodeFrame(MsgType::kStepReport, resp.Encode());
-        }
-        return ErrorFrame(WireError::kBadState, "STMT without a transaction");
-      }
-      uint32_t max_steps = req.value().max_steps;
-      if (max_steps == 0) max_steps = 1;
-      return HandleStep(session, max_steps, /*stop_before_commit=*/true);
-    }
-    case MsgType::kCommit:
-      if (!session.run) {
-        if (!session.last_timeout_detail.empty()) {
-          StepResp resp;
-          resp.outcome = static_cast<uint8_t>(StepWire::kAborted);
-          resp.detail = session.last_timeout_detail;
-          session.last_timeout_detail.clear();
-          return EncodeFrame(MsgType::kStepReport, resp.Encode());
-        }
-        return ErrorFrame(WireError::kBadState, "COMMIT without a transaction");
-      }
-      // No step cap: run to a terminal state (or a lock conflict — the
-      // client re-sends COMMIT after the retry hint).
-      return HandleStep(session, UINT32_MAX, /*stop_before_commit=*/false);
-    case MsgType::kAbort:
-      if (!session.run) {
-        return ErrorFrame(WireError::kBadState, "ABORT without a transaction");
-      }
-      return HandleAbort(session);
+    case MsgType::kExec:
+      return HandleExec(session, frame);
     case MsgType::kStats:
       return BuildStats();
     case MsgType::kShutdown: {
@@ -736,7 +611,8 @@ std::string Server::Dispatch(Session& session, const Frame& frame) {
       metrics_->data.protocol_errors++;
       return ErrorFrame(
           WireError::kBadFrame,
-          StrCat("unexpected frame type ", MsgTypeName(frame.type)));
+          StrCat("unexpected frame type ", static_cast<int>(frame.type), " (",
+                 MsgTypeName(frame.type), ")"));
     }
   }
 }
@@ -765,7 +641,7 @@ std::string Server::HandleHello(Session& session, const Frame& frame) {
   return EncodeFrame(MsgType::kHelloOk, resp.Encode());
 }
 
-std::string Server::HandleBegin(Session& session, const Frame& frame) {
+std::string Server::HandleExec(Session& session, const Frame& frame) {
   Result<BeginReq> req = BeginReq::Decode(frame.payload);
   if (!req.ok()) {
     std::lock_guard<std::mutex> lock(metrics_->mu);
@@ -773,10 +649,7 @@ std::string Server::HandleBegin(Session& session, const Frame& frame) {
     return ErrorFrame(WireError::kBadFrame, req.status().message());
   }
   if (!session.hello_done) {
-    return ErrorFrame(WireError::kBadState, "BEGIN before HELLO");
-  }
-  if (session.run) {
-    return ErrorFrame(WireError::kBadState, "transaction already active");
+    return ErrorFrame(WireError::kBadState, "EXEC before HELLO");
   }
   if (draining()) {
     std::lock_guard<std::mutex> lock(metrics_->mu);
@@ -788,7 +661,7 @@ std::string Server::HandleBegin(Session& session, const Frame& frame) {
 
   // Admission control: reserve an in-flight slot or turn the client away
   // with a retry hint. The reservation happens inside the metrics lock so
-  // concurrent BEGINs cannot oversubscribe.
+  // concurrent EXECs cannot oversubscribe.
   {
     std::lock_guard<std::mutex> lock(metrics_->mu);
     if (metrics_->data.inflight >= options_.max_inflight_txns) {
@@ -872,27 +745,11 @@ std::string Server::HandleBegin(Session& session, const Frame& frame) {
     resp.verdict = SummarizeAdvice(advice_it->second);
   }
 
-  session.run = std::make_unique<ProgramRun>(&mgr_, std::move(program), level);
-  session.txn_type = type;
-  session.level_idx = static_cast<int>(level);
-  session.blocked_streak = 0;
-  session.begin_time = std::chrono::steady_clock::now();
-  session.pending_timeout_kind = 0;
-  session.last_timeout_detail.clear();
-  {
-    // Mirror the live transaction for the loop thread's deadline sweep.
-    std::lock_guard<std::mutex> lock(session.mu);
-    session.txn_active = true;
-    if (options_.txn_timeout_us > 0) {
-      session.txn_deadline =
-          MonoClock::now() +
-          std::chrono::microseconds(options_.txn_timeout_us);
-    }
-  }
+  const int level_idx = static_cast<int>(level);
   {
     std::lock_guard<std::mutex> lock(metrics_->mu);
     ServerMetricsSnapshot& m = metrics_->data;
-    m.begins[session.level_idx]++;
+    m.begins[level_idx]++;
     m.per_type[type].begins++;
     if (advice_it != advice_.end()) {
       const IsoLevel recommended = advice_it->second.recommended;
@@ -900,179 +757,59 @@ std::string Server::HandleBegin(Session& session, const Frame& frame) {
       if (!resp.negotiated && level != recommended) m.advisor_overridden++;
     }
   }
-
   resp.txn_type = type;
   resp.level = static_cast<uint8_t>(level);
-  return EncodeFrame(MsgType::kBeginOk, resp.Encode());
-}
+  std::string reply = EncodeFrame(MsgType::kBeginOk, resp.Encode());
 
-std::string Server::HandleStep(Session& session, uint32_t max_steps,
-                               bool stop_before_commit) {
-  ProgramRun& run = *session.run;
-  uint32_t steps = 0;
-  while (steps < max_steps) {
-    if (stop_before_commit && !run.rolling_back() && !run.Done() &&
-        run.CurrentStmt() == nullptr) {
-      // Body finished; the commit decision belongs to the client.
-      StepResp resp;
-      resp.outcome = static_cast<uint8_t>(StepWire::kBodyDone);
-      resp.steps = steps;
-      return EncodeFrame(MsgType::kStepReport, resp.Encode());
-    }
-    const StepOutcome outcome = run.Step(/*wait=*/false);
-    if (outcome == StepOutcome::kBlocked) {
-      // Try-lock discipline: a conflicted statement never parks a worker.
-      // Persistent blocking (a cross-session deadlock shows up as every
-      // participant spinning here) is resolved by bounded wait: past the
-      // threshold this transaction becomes the victim.
-      session.blocked_streak++;
-      {
-        std::lock_guard<std::mutex> lock(metrics_->mu);
-        metrics_->data.blocked_retries++;
-      }
-      const MonoTime now = MonoClock::now();
-      if (session.blocked_streak == 1) session.blocked_since = now;
-      if (options_.stmt_timeout_us > 0 &&
-          now - session.blocked_since >=
-              std::chrono::microseconds(options_.stmt_timeout_us)) {
-        // The statement's cumulative blocked time (across the client's
-        // kBlocked retries) exceeded the deadline: abort rather than let
-        // the client spin against an immovable conflict forever.
-        {
-          std::lock_guard<std::mutex> lock(metrics_->mu);
-          metrics_->data.stmt_timeouts++;
-        }
-        session.pending_timeout_kind =
-            static_cast<uint8_t>(TimeoutKind::kStatement);
-        run.ForceAbort(Status::Timeout(
-            StrCat("statement blocked past ", options_.stmt_timeout_us,
-                   "us")));
-        return FinishTxn(session, StepOutcome::kAborted, steps);
-      }
-      if (session.blocked_streak > options_.blocked_abort_threshold) {
-        {
-          std::lock_guard<std::mutex> lock(metrics_->mu);
-          metrics_->data.deadlock_victims++;
-        }
-        run.ForceAbort(Status::Deadlock("bounded-wait deadlock abort"));
-        return FinishTxn(session, StepOutcome::kAborted, steps);
-      }
-      StepResp resp;
-      resp.outcome = static_cast<uint8_t>(StepWire::kBlocked);
-      resp.steps = steps;
-      resp.retry_after_ms = options_.retry_after_ms;
-      return EncodeFrame(MsgType::kStepReport, resp.Encode());
-    }
-    session.blocked_streak = 0;
-    ++steps;
-    if (outcome == StepOutcome::kCommitted || outcome == StepOutcome::kAborted) {
-      return FinishTxn(session, outcome, steps);
-    }
-  }
-  StepResp resp;
-  resp.outcome = static_cast<uint8_t>(StepWire::kRunning);
-  resp.steps = steps;
-  return EncodeFrame(MsgType::kStepReport, resp.Encode());
-}
-
-std::string Server::HandleAbort(Session& session) {
-  session.run->ForceAbort(Status::Aborted("client abort"));
-  return FinishTxn(session, StepOutcome::kAborted, 0);
-}
-
-std::string Server::HandleTimeout(Session& session, uint8_t kind,
-                                  const std::string& detail) {
-  // The transaction may have settled between the sweep's mark and this
-  // worker picking it up; a stale mark is dropped silently.
-  if (!session.run) return std::string();
-  {
-    std::lock_guard<std::mutex> lock(metrics_->mu);
-    metrics_->data.txn_timeouts++;
-  }
-  session.pending_timeout_kind = kind;
-  session.run->ForceAbort(Status::Timeout(detail));
-  return FinishTxn(session, StepOutcome::kAborted, 0);
-}
-
-std::string Server::FinishTxn(Session& session, StepOutcome outcome,
-                              uint32_t steps) {
-  StepResp resp;
-  resp.steps = steps;
-  const Status& failure = session.run->failure();
+  // The whole transaction runs here, with blocking lock acquires. A lock
+  // wait parks this worker behind another worker's running transaction
+  // (none is ever left open between frames), and a wait-for cycle aborts
+  // the requester that closes it with kDeadlock.
+  ProgramRun run(&mgr_, std::move(program), level);
+  const auto begin_time = std::chrono::steady_clock::now();
+  const bool committed = run.RunToCompletion() == StepOutcome::kCommitted;
+  const Status& failure = run.failure();
   // Durable-ack gate: a commit may only be acknowledged as kCommitted when
   // its WAL record is actually durable. A failed fsync makes txn().durable
   // false; the commit applied in the live store (other transactions saw it)
   // but the promise "survives a crash" would be a lie, so the client gets
   // kNotDurable instead.
-  const bool refuse_ack = outcome == StepOutcome::kCommitted && wal_ &&
-                          !session.run->txn().durable;
+  const bool refuse_ack = committed && wal_ && !run.txn().durable;
   {
     std::lock_guard<std::mutex> lock(metrics_->mu);
     ServerMetricsSnapshot& m = metrics_->data;
-    ServerMetricsSnapshot::TypeMetrics& t = m.per_type[session.txn_type];
+    ServerMetricsSnapshot::TypeMetrics& t = m.per_type[type];
     m.inflight--;
-    if (outcome == StepOutcome::kCommitted) {
-      m.commits[session.level_idx]++;
-      t.commits[session.level_idx]++;
+    if (committed) {
+      m.commits[level_idx]++;
+      t.commits[level_idx]++;
       if (refuse_ack) m.commit_acks_refused++;
-      const auto elapsed =
-          std::chrono::steady_clock::now() - session.begin_time;
-      const int64_t ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+      const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now() - begin_time)
+                             .count();
       m.latency_ns.Record(ns);
       t.latency_ns.Record(ns);
     } else {
-      m.aborts[session.level_idx]++;
-      t.aborts[session.level_idx]++;
+      m.aborts[level_idx]++;
+      t.aborts[level_idx]++;
       if (failure.code() == Code::kDeadlock) m.deadlocks++;
       if (failure.code() == Code::kConflict) m.fcw_conflicts++;
     }
-  }
-  const uint8_t timeout_kind = session.pending_timeout_kind;
-  if (outcome == StepOutcome::kCommitted) {
-    resp.outcome = static_cast<uint8_t>(StepWire::kCommitted);
-  } else {
-    resp.outcome = static_cast<uint8_t>(StepWire::kAborted);
-    resp.detail = failure.ToString();
-    if (timeout_kind != 0) session.last_timeout_detail = resp.detail;
-  }
-  session.run.reset();
-  session.blocked_streak = 0;
-  session.pending_timeout_kind = 0;
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    session.txn_active = false;
-    session.timeout_pending = false;
   }
   if (refuse_ack) {
     // Under the panic policy the WAL is now frozen; no future commit can be
     // made durable either, so the server winds down (serverd exits non-zero
     // via WalFailure).
     if (wal_->panicked()) RequestStop();
-    return ErrorFrame(
-        WireError::kNotDurable,
-        StrCat("commit applied but not durable: ",
-               wal_->device_error().ToString()));
+    return reply + ErrorFrame(WireError::kNotDurable,
+                              StrCat("commit applied but not durable: ",
+                                     wal_->device_error().ToString()));
   }
-  if (timeout_kind != 0) {
-    return TimeoutFrame(static_cast<TimeoutKind>(timeout_kind), resp.detail);
-  }
-  return EncodeFrame(MsgType::kStepReport, resp.Encode());
-}
-
-void Server::ReleaseTxn(Session& session, const char* reason) {
-  // Callers hold session.mu (Stop, CloseSession, ServeSession's closed
-  // branch), so the txn_active mirror can be cleared directly here.
-  if (session.cleaned) return;
-  session.cleaned = true;
-  session.txn_active = false;
-  if (!session.run) return;
-  session.run->ForceAbort(Status::Aborted(StrCat("session closed: ", reason)));
-  session.run.reset();
-  std::lock_guard<std::mutex> lock(metrics_->mu);
-  metrics_->data.inflight--;
-  metrics_->data.aborts[session.level_idx]++;
-  metrics_->data.per_type[session.txn_type].aborts[session.level_idx]++;
+  StepResp step;
+  step.outcome = static_cast<uint8_t>(committed ? StepWire::kCommitted
+                                                : StepWire::kAborted);
+  if (!committed) step.detail = failure.ToString();
+  return reply + EncodeFrame(MsgType::kStepReport, step.Encode());
 }
 
 std::string Server::BuildStats() {
@@ -1093,8 +830,6 @@ std::string Server::BuildStats() {
   c("fcw_conflicts", m.fcw_conflicts);
   c("injected_faults", 0);
   c("retries_exhausted", m.retries_exhausted);
-  c("blocked_retries", m.blocked_retries);
-  c("deadlock_victims", m.deadlock_victims);
   // Server-side lifecycle and backpressure.
   c("sessions_accepted", m.sessions_accepted);
   c("sessions_closed", m.sessions_closed);
@@ -1108,8 +843,6 @@ std::string Server::BuildStats() {
   c("inflight_peak", m.inflight_peak);
   c("queue_depth_peak", m.queue_depth_peak);
   // Deadlines, drain, and fault posture.
-  c("stmt_timeouts", m.stmt_timeouts);
-  c("txn_timeouts", m.txn_timeouts);
   c("idle_timeouts", m.idle_timeouts);
   c("commit_acks_refused", m.commit_acks_refused);
   c("drain_rejects", m.drain_rejects);

@@ -20,7 +20,6 @@
 #include "sem/check/advisor.h"
 #include "sem/check/incremental.h"
 #include "txn/txn.h"
-#include "txn/interpreter.h"
 #include "wal/wal.h"
 #include "workload/workload.h"
 
@@ -36,20 +35,13 @@ struct ServerOptions {
   int tpcc_items = 16;
   uint16_t port = 0;                 ///< 0 = kernel-assigned ephemeral port
   int workers = 4;                   ///< fixed worker pool size
-  /// Admission control: BEGIN is rejected with kBusy (retry-after) once this
-  /// many transactions are in flight, so overload degrades to client backoff
-  /// instead of lock-queue collapse.
+  /// Admission control: EXEC is rejected with kBusy (retry-after) once this
+  /// many transactions are in flight. A transaction is in flight only while
+  /// a worker runs it, so a cap at or above `workers` never binds.
   int max_inflight_txns = 64;
   /// Parsed-but-unserved frames buffered per session; beyond it the loop
   /// answers kBusy directly (per-session backpressure for pipelined clients).
   size_t session_queue_limit = 8;
-  /// Consecutive blocked step attempts before the server force-aborts the
-  /// transaction as a deadlock victim (bounded-wait resolution — the
-  /// network analogue of DeadlockPolicyKind::kBoundedWait). Steps use
-  /// try-locks, so a cross-session deadlock surfaces as every participant
-  /// retrying forever; this bound turns that into one victim abort.
-  int blocked_abort_threshold = 64;
-  uint32_t retry_after_ms = 1;       ///< suggested backoff after kBlocked
   uint32_t busy_retry_after_ms = 5;  ///< suggested backoff after kBusy
   uint64_t seed = 42;                ///< server-side instance draws
   size_t lock_shards = 0;            ///< 0 = LockManager default
@@ -67,12 +59,8 @@ struct ServerOptions {
   std::string wal_fsync_failure = "panic";
   /// Deterministic disk-fault plan spec ("seed:N[:p...]"), empty = none.
   std::string disk_faults;
-  /// Deadlines, monotonic-clock microseconds; 0 disables. stmt_timeout_us
-  /// caps one statement's cumulative blocked time; txn_timeout_us caps
-  /// BEGIN→decision; idle_timeout_us reaps sessions with no inbound frames
-  /// (including sessions parked mid-transaction holding locks).
-  uint64_t stmt_timeout_us = 0;
-  uint64_t txn_timeout_us = 0;
+  /// Reaps sessions with no inbound frames for this long (monotonic-clock
+  /// microseconds; 0 disables).
   uint64_t idle_timeout_us = 0;
   /// Drain: how long RequestDrain waits for in-flight transactions before
   /// forcing the stop anyway.
@@ -83,44 +71,39 @@ struct ServerOptions {
 /// gauges) into the STATS response. The committed/aborted/deadlocks/
 /// fcw_conflicts/retries_exhausted names deliberately mirror ExecStats so
 /// tests can equate server counters with in-process runs of the same
-/// workload; blocked_retries/deadlock_victims mirror StepDriver's
-/// blocked_steps()/deadlock_victims().
+/// workload.
 struct ServerMetricsSnapshot {
   long sessions_accepted = 0;
   long sessions_closed = 0;
   long frames_in = 0;
   long frames_out = 0;
   long protocol_errors = 0;
-  long admission_rejected = 0;  ///< BEGINs turned away at the inflight cap
+  long admission_rejected = 0;  ///< EXECs turned away at the inflight cap
   long queue_rejected = 0;      ///< frames turned away at the session queue cap
   long negotiated_begins = 0;
-  long blocked_retries = 0;   ///< step attempts that found a lock conflict
-  long deadlock_victims = 0;  ///< bounded-wait forced aborts
   long fcw_conflicts = 0;     ///< first-committer-wins aborts
-  long deadlocks = 0;         ///< deadlock-coded aborts (victims included)
+  long deadlocks = 0;         ///< wait-for-graph deadlock aborts
   long retries_exhausted = 0; ///< always 0: retry is the client's job
   long inflight = 0;
   long inflight_peak = 0;
   long queue_depth_peak = 0;  ///< worker-queue high-water mark
-  long stmt_timeouts = 0;     ///< statements aborted at --stmt-timeout
-  long txn_timeouts = 0;      ///< transactions aborted at --txn-timeout
   long idle_timeouts = 0;     ///< sessions reaped at --idle-timeout
   long commit_acks_refused = 0;  ///< commits applied but not durable (kNotDurable)
-  long drain_rejects = 0;        ///< BEGINs refused while draining
+  long drain_rejects = 0;        ///< EXECs refused while draining
   std::array<long, kIsoLevelCount> begins{};
   std::array<long, kIsoLevelCount> commits{};
   std::array<long, kIsoLevelCount> aborts{};
-  /// What the advisor recommends for each BEGIN's type, counted per level —
+  /// What the advisor recommends for each EXEC's type, counted per level —
   /// including sessions that requested an explicit level. In a mixed-level
   /// run this keeps per-level abort attribution honest: an explicit session
   /// flagged advisor_correct=false still shows up under the level the §5
   /// analysis would have negotiated.
   std::array<long, kIsoLevelCount> advisor_recommended{};
-  long advisor_overridden = 0;  ///< explicit BEGINs whose level != recommended
-  Histogram latency_ns;  ///< BEGIN→commit, committed txns only
+  long advisor_overridden = 0;  ///< explicit EXECs whose level != recommended
+  Histogram latency_ns;  ///< begin→commit, committed txns only
 
   /// Per-transaction-type split of the same lifecycle counters, keyed by
-  /// the type resolved at BEGIN (after any server-side mix draw).
+  /// the type resolved at admission (after any server-side mix draw).
   struct TypeMetrics {
     long begins = 0;
     std::array<long, kIsoLevelCount> commits{};
@@ -136,13 +119,14 @@ struct ServerMetricsSnapshot {
 /// Multi-client transaction server: exposes one workload's transaction types
 /// over the wire protocol of net/wire.h. A poll(2) event loop owns the
 /// sockets and framing; parsed requests are dispatched onto a fixed worker
-/// pool (one in-flight request per session, FIFO per session); workers drive
-/// the shared TxnManager with try-lock steps so no worker ever parks inside
-/// the lock manager — a blocked statement becomes a kBlocked response with a
-/// retry-after hint, and persistent blocking becomes a bounded-wait victim
-/// abort. EXEC runs BEGIN, the body and COMMIT in one request, so a client
-/// that does not step statements pays one round trip per transaction.
-/// BEGIN (and EXEC) negotiates the isolation level per session: an explicit
+/// pool (one in-flight request per session, FIFO per session). EXEC is the
+/// only way to run a transaction, and its whole life is one call on one
+/// worker: the worker runs it to completion with blocking lock acquires,
+/// exactly like the in-process executor. Nothing stays open between frames,
+/// so every lock holder is running on some worker; a worker parked in the
+/// LockManager waits either on a worker that is making progress or inside a
+/// wait-for cycle, which the LockManager breaks with a kDeadlock abort.
+/// EXEC negotiates the isolation level per transaction: an explicit
 /// level is honoured (and flagged when the static analysis rejects it), and
 /// kNegotiateLevel runs the paper's §5 procedure from an IncrementalAdvisor
 /// whose memoized pair cache is computed at startup (and stays warm for any
@@ -158,8 +142,8 @@ class Server {
   /// and the worker pool. On success port() is the bound port.
   Status Start();
 
-  /// Graceful stop: stops the loop, joins all threads, force-aborts any
-  /// in-flight transactions, closes every socket. Idempotent.
+  /// Graceful stop: stops the loop, joins all threads (each worker finishes
+  /// the transaction it is running), closes every socket. Idempotent.
   void Stop();
 
   /// Async-signal-safe stop request (atomic flag + self-pipe write): the
@@ -168,7 +152,7 @@ class Server {
   void RequestStop() { loop_.Stop(); }
 
   /// Async-signal-safe graceful drain (SIGTERM): stop accepting, refuse new
-  /// BEGINs with kShuttingDown, let in-flight transactions finish (up to
+  /// EXECs with kShuttingDown, let in-flight transactions finish (up to
   /// drain_timeout_us, then force), then stop the loop. Stop() must still be
   /// called to join threads, write the final checkpoint, and close the WAL.
   void RequestDrain() {
@@ -213,9 +197,8 @@ class Server {
   void TryFlush(std::shared_ptr<Session> session);
   void CloseSession(std::shared_ptr<Session> session);
   void OnWakeup();
-  /// Periodic loop-thread pass: reaps idle sessions, marks expired
-  /// transaction deadlines for their workers, and (while draining) stops
-  /// the loop once nothing is in flight. Reschedules itself.
+  /// Periodic loop-thread pass: reaps idle sessions and (while draining)
+  /// stops the loop once nothing is in flight. Reschedules itself.
   void SweepDeadlines();
   /// First OnWakeup after RequestDrain: close the listener, arm the drain
   /// deadline, and start sweeping.
@@ -226,24 +209,13 @@ class Server {
   void ServeSession(const std::shared_ptr<Session>& session);
   std::string Dispatch(Session& session, const Frame& frame);
   std::string HandleHello(Session& session, const Frame& frame);
-  std::string HandleBegin(Session& session, const Frame& frame);
-  std::string HandleStep(Session& session, uint32_t max_steps,
-                         bool stop_before_commit);
-  std::string HandleAbort(Session& session);
-  /// Worker-side handling of a sweep-marked transaction deadline: force-
-  /// aborts the run and emits the unsolicited TIMEOUT frame.
-  std::string HandleTimeout(Session& session, uint8_t kind,
-                            const std::string& detail);
+  /// Admits, runs and settles one transaction; see kExec in net/wire.h.
+  std::string HandleExec(Session& session, const Frame& frame);
   std::string BuildStats();
 
   // --- shared ---
   void EnqueueWork(const std::shared_ptr<Session>& session);
   void RequestFlush(int fd);
-  /// Releases a session's transaction (force-abort) exactly once; called on
-  /// disconnect by whichever side (loop or worker) turns the session idle.
-  void ReleaseTxn(Session& session, const char* reason);
-  std::string FinishTxn(Session& session, StepOutcome outcome,
-                        uint32_t steps);
 
   ServerOptions options_;
   uint16_t port_ = 0;

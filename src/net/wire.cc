@@ -24,12 +24,8 @@ const char* MsgTypeName(MsgType type) {
   switch (type) {
     case MsgType::kHello: return "HELLO";
     case MsgType::kHelloOk: return "HELLO_OK";
-    case MsgType::kBegin: return "BEGIN";
     case MsgType::kBeginOk: return "BEGIN_OK";
-    case MsgType::kStmt: return "STMT";
     case MsgType::kStepReport: return "STEP_REPORT";
-    case MsgType::kCommit: return "COMMIT";
-    case MsgType::kAbort: return "ABORT";
     case MsgType::kStats: return "STATS";
     case MsgType::kStatsOk: return "STATS_OK";
     case MsgType::kBusy: return "BUSY";
@@ -38,26 +34,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kShutdownOk: return "SHUTDOWN_OK";
     case MsgType::kTimeout: return "TIMEOUT";
     case MsgType::kExec: return "EXEC";
-  }
-  return "?";
-}
-
-const char* TimeoutKindName(TimeoutKind kind) {
-  switch (kind) {
-    case TimeoutKind::kStatement: return "statement";
-    case TimeoutKind::kTxn: return "transaction";
-    case TimeoutKind::kIdle: return "idle";
-  }
-  return "?";
-}
-
-const char* StepWireName(StepWire outcome) {
-  switch (outcome) {
-    case StepWire::kRunning: return "running";
-    case StepWire::kBlocked: return "blocked";
-    case StepWire::kBodyDone: return "body-done";
-    case StepWire::kCommitted: return "committed";
-    case StepWire::kAborted: return "aborted";
   }
   return "?";
 }
@@ -195,16 +171,16 @@ Result<BeginReq> BeginReq::Decode(std::string_view payload) {
   uint32_t n = 0;
   if (!r.Str(&m.txn_type) || !r.U8(&m.requested_level) || !r.U32(&n) ||
       n > kMaxListEntries) {
-    return DecodeError("BEGIN");
+    return DecodeError("EXEC");
   }
   m.params.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     std::string key;
     int64_t value;
-    if (!r.Str(&key) || !r.I64(&value)) return DecodeError("BEGIN");
+    if (!r.Str(&key) || !r.I64(&value)) return DecodeError("EXEC");
     m.params.emplace_back(std::move(key), value);
   }
-  if (!r.Done()) return DecodeError("BEGIN");
+  if (!r.Done()) return DecodeError("EXEC");
   return m;
 }
 
@@ -231,24 +207,9 @@ Result<BeginResp> BeginResp::Decode(std::string_view payload) {
   return m;
 }
 
-std::string StmtReq::Encode() const {
-  WireWriter w;
-  w.U32(max_steps);
-  return w.Take();
-}
-
-Result<StmtReq> StmtReq::Decode(std::string_view payload) {
-  WireReader r(payload);
-  StmtReq m;
-  if (!r.U32(&m.max_steps) || !r.Done()) return DecodeError("STMT");
-  return m;
-}
-
 std::string StepResp::Encode() const {
   WireWriter w;
   w.U8(outcome);
-  w.U32(steps);
-  w.U32(retry_after_ms);
   w.Str(detail);
   return w.Take();
 }
@@ -256,11 +217,11 @@ std::string StepResp::Encode() const {
 Result<StepResp> StepResp::Decode(std::string_view payload) {
   WireReader r(payload);
   StepResp m;
-  if (!r.U8(&m.outcome) || !r.U32(&m.steps) || !r.U32(&m.retry_after_ms) ||
-      !r.Str(&m.detail) || !r.Done()) {
+  if (!r.U8(&m.outcome) || !r.Str(&m.detail) || !r.Done()) {
     return DecodeError("STEP_REPORT");
   }
-  if (m.outcome > static_cast<uint8_t>(StepWire::kAborted)) {
+  if (m.outcome != static_cast<uint8_t>(StepWire::kCommitted) &&
+      m.outcome != static_cast<uint8_t>(StepWire::kAborted)) {
     return DecodeError("STEP_REPORT outcome");
   }
   return m;
@@ -364,8 +325,7 @@ Result<TimeoutResp> TimeoutResp::Decode(std::string_view payload) {
   if (!r.U8(&m.what) || !r.Str(&m.detail) || !r.Done()) {
     return DecodeError("TIMEOUT");
   }
-  if (m.what < static_cast<uint8_t>(TimeoutKind::kStatement) ||
-      m.what > static_cast<uint8_t>(TimeoutKind::kIdle)) {
+  if (m.what != static_cast<uint8_t>(TimeoutKind::kIdle)) {
     return DecodeError("TIMEOUT kind");
   }
   return m;

@@ -19,30 +19,30 @@ namespace semcor::net {
 /// frame, which the server may send unsolicited — a v1 client would treat
 /// it as garbage, hence the bump. v3 added EXEC, whose answer is two frames
 /// (BEGIN_OK then the step report) — a v2 peer would read one and fall out
-/// of step.
-inline constexpr uint32_t kProtocolVersion = 3;
+/// of step. v4 made EXEC the only way to run a transaction: BEGIN, STMT,
+/// COMMIT and ABORT retired, and the step report lost its retry hint and
+/// step count, so a v3 peer would mis-parse it.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Hard cap on one frame body (type byte + payload). Anything larger is a
 /// protocol error: the parser refuses to buffer it, so a hostile 4-byte
 /// length header can never become a memory-exhaustion primitive.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
-/// BEGIN's requested-level byte meaning "negotiate": the server picks the
+/// EXEC's requested-level byte meaning "negotiate": the server picks the
 /// lowest semantically-correct level for the transaction type (the paper's
 /// §5 procedure) and reports the discharged-obligation verdict back.
 inline constexpr uint8_t kNegotiateLevel = 0xFF;
 
 /// Frame type tags. Every frame on the wire is
 ///   [u32 length][u8 MsgType][payload]   (length = 1 + payload bytes, LE).
+/// Tags 3, 5, 7 and 8 (v3's BEGIN, STMT, COMMIT, ABORT) are retired; a peer
+/// that sends one gets the ordinary unexpected-frame kBadFrame error.
 enum class MsgType : uint8_t {
   kHello = 1,        ///< c->s: version check, open session
   kHelloOk = 2,      ///< s->c
-  kBegin = 3,        ///< c->s: start a transaction (explicit level or negotiate)
-  kBeginOk = 4,      ///< s->c
-  kStmt = 5,         ///< c->s: advance the transaction body
-  kStepReport = 6,   ///< s->c: outcome of STMT / COMMIT / ABORT
-  kCommit = 7,       ///< c->s
-  kAbort = 8,        ///< c->s
+  kBeginOk = 4,      ///< s->c: EXEC admitted (type and level granted)
+  kStepReport = 6,   ///< s->c: the EXEC's terminal outcome
   kStats = 9,        ///< c->s
   kStatsOk = 10,     ///< s->c
   kBusy = 11,        ///< s->c: backpressure — retry after the given delay
@@ -50,10 +50,10 @@ enum class MsgType : uint8_t {
   kShutdown = 13,    ///< c->s: ask the server to stop (bench/CI convenience)
   kShutdownOk = 14,  ///< s->c
   kTimeout = 15,     ///< s->c: a deadline fired (may arrive unsolicited)
-  /// c->s: BEGIN + body + COMMIT in one request (payload: BeginReq). Answer:
-  /// BEGIN_OK followed by the step report (or TIMEOUT/ERROR), or a lone
-  /// BUSY/ERROR when the transaction was not admitted. A kBlocked report
-  /// leaves the transaction open; the client re-sends COMMIT.
+  /// c->s: run one transaction, BEGIN through COMMIT, in one request
+  /// (payload: BeginReq). Answer: BEGIN_OK followed by the terminal step
+  /// report (or a kNotDurable ERROR), or a lone BUSY/ERROR when the
+  /// transaction was not admitted. Nothing stays open between requests.
   kExec = 16,
 };
 
@@ -69,25 +69,18 @@ enum class WireError : uint16_t {
   kShuttingDown = 6,  ///< server draining; no new transactions
 };
 
-/// What deadline a kTimeout frame reports.
+/// What deadline a kTimeout frame reports. Values 1 and 2 (v3's statement
+/// and transaction deadlines) are retired.
 enum class TimeoutKind : uint8_t {
-  kStatement = 1,  ///< one statement exceeded --stmt-timeout (txn aborted)
-  kTxn = 2,        ///< the whole transaction exceeded --txn-timeout (aborted)
-  kIdle = 3,       ///< session idle past --idle-timeout (connection closes)
+  kIdle = 3,  ///< session idle past --idle-timeout (connection closes)
 };
 
-const char* TimeoutKindName(TimeoutKind kind);
-
-/// Transaction-step outcome carried by kStepReport.
+/// Transaction outcome carried by kStepReport (values 0-2, v3's
+/// intermediate stepping outcomes, are retired).
 enum class StepWire : uint8_t {
-  kRunning = 0,    ///< steps executed, body statements remain
-  kBlocked = 1,    ///< a lock would block; retry after retry_after_ms
-  kBodyDone = 2,   ///< body finished; COMMIT (or ABORT) decides the txn
   kCommitted = 3,  ///< transaction committed
   kAborted = 4,    ///< transaction aborted (detail says why)
 };
-
-const char* StepWireName(StepWire outcome);
 
 // ---------------------------------------------------------------------------
 // Primitive codec: bounds-checked little-endian integers + length-prefixed
@@ -146,8 +139,8 @@ class WireReader {
 
 // ---------------------------------------------------------------------------
 // Messages. Each struct encodes to a payload (no frame header) and decodes
-// from one, requiring full consumption. kCommit/kAbort/kStats/kShutdown have
-// empty payloads and no struct.
+// from one, requiring full consumption. kStats/kShutdown have empty payloads
+// and no struct.
 // ---------------------------------------------------------------------------
 
 struct HelloReq {
@@ -167,7 +160,7 @@ struct HelloResp {
   static Result<HelloResp> Decode(std::string_view payload);
 };
 
-/// Payload of both BEGIN and EXEC.
+/// Payload of EXEC.
 struct BeginReq {
   /// Transaction type to run; empty = the server draws one from its
   /// workload mix (using the session's seeded RNG).
@@ -195,18 +188,9 @@ struct BeginResp {
   static Result<BeginResp> Decode(std::string_view payload);
 };
 
-struct StmtReq {
-  uint32_t max_steps = 64;  ///< statement-step budget for this request
-
-  std::string Encode() const;
-  static Result<StmtReq> Decode(std::string_view payload);
-};
-
 struct StepResp {
   uint8_t outcome = 0;  ///< StepWire
-  uint32_t steps = 0;   ///< productive steps this request executed
-  uint32_t retry_after_ms = 0;  ///< kBlocked: suggested client backoff
-  std::string detail;           ///< abort reason etc.
+  std::string detail;   ///< abort reason
 
   std::string Encode() const;
   static Result<StepResp> Decode(std::string_view payload);
@@ -239,10 +223,8 @@ struct ErrorResp {
   static Result<ErrorResp> Decode(std::string_view payload);
 };
 
-/// A deadline fired. Sent in place of the pending response when a worker
-/// notices the expiry, or unsolicited between requests when the loop's
-/// sweep reaps an idle or timed-out session; clients must absorb it at any
-/// point (that is why it needed the protocol bump).
+/// A deadline fired: sent unsolicited, between requests, when the loop's
+/// sweep reaps an idle session just before it closes the connection.
 struct TimeoutResp {
   uint8_t what = 0;  ///< TimeoutKind
   std::string detail;

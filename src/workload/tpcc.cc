@@ -67,8 +67,13 @@ TransactionType MakeTNewOrder() {
   type.name = "TNewOrder";
   type.make = [](const std::map<std::string, Value>& params) {
     const int64_t d = params.at("d").AsInt();
-    const bool rollback = params.count("rollback") != 0 &&
-                          params.at("rollback").AsBool();
+    // A bool from the generator; a nonzero int from a wire client, whose
+    // explicit parameters are all integers.
+    const auto flag = params.find("rollback");
+    const bool rollback =
+        flag != params.end() && (flag->second.is_bool()
+                                     ? flag->second.AsBool()
+                                     : flag->second.AsInt() != 0);
     const std::string counter = NextOid(d);
     const std::string dytd = DistYtd(d);
     const Expr ii = And({StockNonNeg(), OrdersBound(d), RevenueConsistent(d)});

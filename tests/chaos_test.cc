@@ -1,16 +1,18 @@
 // Network-boundary chaos tests: the DeadlineQueue timer primitive, the
-// client's deterministic backoff schedule, server-side deadlines (txn and
-// idle timeouts over the wire), graceful drain, mid-transaction disconnect
-// cleanup (locks released, inflight drains to zero), and the ChaosProxy —
+// client's deterministic backoff schedule, the idle deadline over the wire,
+// graceful drain, disconnect cleanup (no locks or slots left behind,
+// inflight drains to zero), and the ChaosProxy —
 // seeded frame drops/truncation/duplication/splitting between a real client
 // and a real server. The acceptance property throughout: the server never
-// hangs or crashes, every torn-down transaction rolls back fully, and the
-// workload invariant holds once the dust settles.
+// hangs or crashes, a torn-down session leaves no transaction, lock or slot
+// behind, and the workload invariant holds once the dust settles.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,43 +142,16 @@ bool DrainsInflight(Server& server, int timeout_ms = 5000) {
   return false;
 }
 
-TEST(DeadlineTest, TxnTimeoutAbortsParkedTransaction) {
-  ServerOptions options = BankingOptions();
-  options.txn_timeout_us = 50'000;  // 50ms
-  Server server(options);
-  ASSERT_TRUE(server.Start().ok());
-  Client client = MakeClient(server.port());
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.Hello().ok());
-
-  // BEGIN, then park holding the slot well past the deadline. The sweep
-  // force-aborts server-side; the next request is answered with the timeout
-  // abort instead of hanging or kBadState.
-  Result<BeginResult> begin =
-      client.Begin("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
-  ASSERT_TRUE(begin.ok()) << begin.status().ToString();
-  ASSERT_TRUE(begin.value().admitted);
-  std::this_thread::sleep_for(milliseconds(300));
-
-  Result<StepResp> step = client.Stmt();
-  ASSERT_TRUE(step.ok()) << step.status().ToString();
-  EXPECT_EQ(static_cast<StepWire>(step.value().outcome), StepWire::kAborted);
-  EXPECT_NE(step.value().detail.find("transaction exceeded"),
-            std::string::npos)
-      << step.value().detail;
-
-  EXPECT_TRUE(DrainsInflight(server));
-  const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_GE(m.txn_timeouts, 1L);
-  EXPECT_EQ(m.Committed(), 0);
-  EXPECT_TRUE(server.InvariantHolds());
-
-  // The session itself survives: a fresh transaction commits.
-  Result<TxnResult> run =
-      client.RunTxn("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_TRUE(run.value().committed) << run.value().detail;
-  server.Stop();
+/// Polls the server until it has closed every session it accepted: the loop
+/// thread notices a peer's disconnect asynchronously, and a session that
+/// never began a transaction leaves no in-flight count to wait on.
+bool ClosesAllSessions(Server& server, int timeout_ms = 5000) {
+  for (int i = 0; i < timeout_ms; ++i) {
+    const ServerMetricsSnapshot m = server.Metrics();
+    if (m.sessions_closed == m.sessions_accepted) return true;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return false;
 }
 
 TEST(DeadlineTest, IdleSessionIsReapedWithTimeoutFrame) {
@@ -209,14 +184,20 @@ TEST(DeadlineTest, IdleSessionIsReapedWithTimeoutFrame) {
 }
 
 TEST(DeadlineTest, DrainFinishesInflightAndRefusesNewWork) {
+  // An EXEC whose commit waits for a group-commit epoch (up to a second) is
+  // in flight when the drain starts. It must still commit and deliver its
+  // answer, while a new EXEC from an already-connected session is refused
+  // with kShuttingDown. (New *connections* are refused outright once
+  // draining — the listener closes.) The loop then stops on its own.
   ServerOptions options = BankingOptions();
-  options.drain_timeout_us = 3'000'000;
+  options.wal_dir = ::testing::TempDir() + "chaos_test_drain_" +
+                    std::to_string(::getpid());
+  std::filesystem::remove_all(options.wal_dir);
+  options.wal_fsync = "group";
+  options.group_commit_us = 1'000'000;
+  options.drain_timeout_us = 5'000'000;
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
-  // Two sessions established before the SIGTERM-equivalent arrives: one
-  // holding an in-flight transaction, one idle. (New *connections* are
-  // refused outright once draining — the listener closes — so the
-  // kShuttingDown path is about already-connected sessions.)
   Client inflight_client = MakeClient(server.port());
   ASSERT_TRUE(inflight_client.Connect().ok());
   ASSERT_TRUE(inflight_client.Hello().ok());
@@ -224,40 +205,36 @@ TEST(DeadlineTest, DrainFinishesInflightAndRefusesNewWork) {
   ASSERT_TRUE(idle_client.Connect().ok());
   ASSERT_TRUE(idle_client.Hello().ok());
 
-  Result<BeginResult> begin = inflight_client.Begin(
-      "Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
-  ASSERT_TRUE(begin.ok());
-  ASSERT_TRUE(begin.value().admitted);
+  BeginReq exec;
+  exec.txn_type = "Withdraw_sav";
+  exec.params = {{"i", 0}, {"w", 1}};
+  ASSERT_TRUE(inflight_client.SendFrame(MsgType::kExec, exec.Encode()).ok());
+  for (int i = 0; i < 5000 && server.Metrics().inflight == 0; ++i) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
   server.RequestDrain();
-  std::this_thread::sleep_for(milliseconds(50));
 
-  // New transactions are refused with kShuttingDown while draining (the
-  // in-flight one keeps the drain from completing under us).
-  Result<BeginResult> refused =
-      idle_client.Begin("Withdraw_sav", kNegotiateLevel, {{"i", 1}, {"w", 1}});
-  if (refused.ok()) {
-    FAIL() << "BEGIN admitted during drain";
-  } else {
-    EXPECT_NE(refused.status().ToString().find("draining"),
-              std::string::npos)
-        << refused.status().ToString();
-  }
+  Result<TxnResult> refused =
+      idle_client.RunTxn("Withdraw_sav", kNegotiateLevel, {{"i", 1}, {"w", 1}});
+  ASSERT_FALSE(refused.ok()) << "EXEC admitted during drain";
+  EXPECT_NE(refused.status().ToString().find("draining"), std::string::npos)
+      << refused.status().ToString();
 
-  // The in-flight transaction still gets to finish cleanly.
-  Result<StepResp> step = inflight_client.Stmt();
-  ASSERT_TRUE(step.ok()) << step.status().ToString();
-  while (static_cast<StepWire>(step.value().outcome) != StepWire::kBodyDone) {
-    ASSERT_EQ(static_cast<StepWire>(step.value().outcome), StepWire::kRunning);
-    step = inflight_client.Stmt();
-    ASSERT_TRUE(step.ok());
-  }
-  step = inflight_client.Commit();
-  ASSERT_TRUE(step.ok()) << step.status().ToString();
-  EXPECT_EQ(static_cast<StepWire>(step.value().outcome), StepWire::kCommitted);
+  // The in-flight EXEC still gets its whole answer.
+  Frame frame;
+  ASSERT_TRUE(inflight_client.RecvFrame(&frame).ok());
+  ASSERT_EQ(frame.type, MsgType::kBeginOk);
+  ASSERT_TRUE(inflight_client.RecvFrame(&frame).ok());
+  ASSERT_EQ(frame.type, MsgType::kStepReport);
+  Result<StepResp> step = StepResp::Decode(frame.payload);
+  ASSERT_TRUE(step.ok());
+  EXPECT_EQ(static_cast<StepWire>(step.value().outcome), StepWire::kCommitted)
+      << step.value().detail;
 
   // With nothing left in flight the loop stops on its own.
   server.WaitUntilStopped();
   server.Stop();
+  std::filesystem::remove_all(options.wal_dir);
   const ServerMetricsSnapshot m = server.Metrics();
   EXPECT_EQ(m.Committed(), 1);
   EXPECT_GE(m.drain_rejects, 1L);
@@ -265,44 +242,43 @@ TEST(DeadlineTest, DrainFinishesInflightAndRefusesNewWork) {
 }
 
 // ---------------------------------------------------------------------------
-// Mid-transaction disconnect (the leak regression).
+// Disconnect in the middle of an EXEC (the leak regression).
 // ---------------------------------------------------------------------------
 
-TEST(DisconnectTest, MidTxnDisconnectRollsBackAndReleasesLocks) {
-  ServerOptions options = BankingOptions();
-  Server server(options);
+TEST(DisconnectTest, DisconnectMidExecLeavesNoLocksOrSlotsBehind) {
+  Server server(BankingOptions());
   ASSERT_TRUE(server.Start().ok());
-
+  const uint8_t rr = static_cast<uint8_t>(IsoLevel::kRepeatableRead);
+  BeginReq exec;
+  exec.txn_type = "Withdraw_sav";
+  exec.requested_level = rr;
+  exec.params = {{"i", 0}, {"w", 1}};
   {
+    // Vanish right after sending the EXEC: the server either never runs it
+    // or runs it to the end and drops the answer.
     Client client = MakeClient(server.port());
     ASSERT_TRUE(client.Connect().ok());
     ASSERT_TRUE(client.Hello().ok());
-    Result<BeginResult> begin =
-        client.Begin("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
-    ASSERT_TRUE(begin.ok());
-    ASSERT_TRUE(begin.value().admitted);
-    // Step partway so the transaction holds real locks, then vanish.
-    Result<StepResp> step = client.Stmt(1);
-    ASSERT_TRUE(step.ok());
+    ASSERT_TRUE(client.SendFrame(MsgType::kExec, exec.Encode()).ok());
     client.Close();
   }
-
-  // The server must notice the EOF, roll the transaction back, and release
-  // its locks: inflight drains to zero...
+  EXPECT_TRUE(ClosesAllSessions(server));
   EXPECT_TRUE(DrainsInflight(server));
 
-  // ...and a second client can immediately run the same accounts to commit
-  // (stuck locks would park this in kBlocked retries forever).
+  // A conflicting EXEC on a fresh session commits: nothing holds account 0
+  // (stuck locks would park it in the lock manager until its wait gives up).
   Client fresh = MakeClient(server.port());
   ASSERT_TRUE(fresh.Connect().ok());
   ASSERT_TRUE(fresh.Hello().ok());
-  Result<TxnResult> run =
-      fresh.RunTxn("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
+  Result<TxnResult> run = fresh.RunTxn("Withdraw_ch", rr, {{"i", 0}, {"w", 1}});
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_TRUE(run.value().committed) << run.value().detail;
 
   const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_EQ(m.Committed(), 1);  // the abandoned txn never committed
+  EXPECT_GE(m.Committed(), 1);
+  EXPECT_LE(m.Committed(), 2);  // the abandoned EXEC may have run
+  EXPECT_EQ(m.Aborted(), 0);
+  EXPECT_EQ(m.inflight, 0);
   EXPECT_TRUE(server.InvariantHolds());
   server.Stop();
 }
@@ -362,8 +338,7 @@ TEST(ChaosProxyTest, TruncatedFrameTearsDownSessionCleanly) {
   proxy.Stop();
 
   EXPECT_TRUE(DrainsInflight(server));
-  const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_EQ(m.sessions_closed, m.sessions_accepted);
+  EXPECT_TRUE(ClosesAllSessions(server));
   EXPECT_TRUE(server.InvariantHolds());
   server.Stop();
 }
@@ -371,7 +346,7 @@ TEST(ChaosProxyTest, TruncatedFrameTearsDownSessionCleanly) {
 TEST(ChaosProxyTest, SeededFaultSoakNeverWedgesTheServer) {
   // The acceptance soak in miniature: many clients, every chaos knob on.
   // Individual transactions may fail arbitrarily; the server must survive
-  // all of it — every torn-down transaction rolled back, inflight zero,
+  // all of it — every torn-down session cleaned up, inflight zero,
   // invariant intact — and still serve a clean client afterwards.
   Server server(BankingOptions());
   ASSERT_TRUE(server.Start().ok());

@@ -292,6 +292,14 @@ TEST(CliTest, RejectsBadInput) {
     const char* argv[] = {"prog", "--u=-1"};  // negative into unsigned
     EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
   }
+  {
+    // Past int's range: an error, not a silent wrap (4294967298 would
+    // otherwise become 2).
+    cli::Flags flags("prog", "test");
+    flags.Int("n", &i, "");
+    const char* argv[] = {"prog", "--n=4294967298"};
+    EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
+  }
 }
 
 TEST(CliTest, HelpStopsParsingWithoutFailing) {

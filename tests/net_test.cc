@@ -1,10 +1,19 @@
 // Tests for src/net/: wire codec round-trips and hostile-input behaviour,
-// the loopback server end to end (negotiation, backpressure, shutdown), and
-// counter parity between the server and the in-process step driver.
+// the loopback server end to end (negotiation, backpressure, server-side
+// lock waits, shutdown), and counter parity between the server and the
+// in-process step driver.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <deque>
+#include <filesystem>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -70,21 +79,13 @@ TEST(WireTest, BeginRoundTrip) {
 }
 
 TEST(WireTest, StepAndStatsRoundTrip) {
-  StmtReq stmt;
-  stmt.max_steps = 17;
-  Result<StmtReq> sback = StmtReq::Decode(stmt.Encode());
-  ASSERT_TRUE(sback.ok());
-  EXPECT_EQ(sback.value().max_steps, 17u);
-
   StepResp step;
-  step.outcome = static_cast<uint8_t>(StepWire::kBlocked);
-  step.steps = 5;
-  step.retry_after_ms = 2;
-  step.detail = "lock conflict";
+  step.outcome = static_cast<uint8_t>(StepWire::kAborted);
+  step.detail = "deadlock";
   Result<StepResp> stback = StepResp::Decode(step.Encode());
   ASSERT_TRUE(stback.ok());
   EXPECT_EQ(stback.value().outcome, step.outcome);
-  EXPECT_EQ(stback.value().retry_after_ms, 2u);
+  EXPECT_EQ(stback.value().detail, "deadlock");
 
   StatsResp stats;
   stats.counters = {{"committed", 12}, {"aborted", -1}};
@@ -122,12 +123,16 @@ TEST(WireTest, TruncatedAndTrailingGarbageAreErrors) {
   }
   // Trailing garbage means the payload was not fully consumed: an error.
   EXPECT_FALSE(BeginReq::Decode(good + "x").ok());
-  EXPECT_FALSE(StmtReq::Decode(StmtReq().Encode() + std::string(1, '\0')).ok());
+  EXPECT_FALSE(
+      StepResp::Decode(StepResp().Encode() + std::string(1, '\0')).ok());
 
-  // An out-of-range step outcome is rejected even if structurally valid.
-  StepResp bad;
-  bad.outcome = 250;
-  EXPECT_FALSE(StepResp::Decode(bad.Encode()).ok());
+  // Only terminal outcomes exist; an out-of-range or retired one (0..2 were
+  // v3's running/blocked/body-done) is rejected even if structurally valid.
+  for (const uint8_t outcome : {0, 1, 2, 250}) {
+    StepResp bad;
+    bad.outcome = outcome;
+    EXPECT_FALSE(StepResp::Decode(bad.Encode()).ok()) << int{outcome};
+  }
 }
 
 TEST(WireTest, RandomGarbageNeverCrashesDecoders) {
@@ -143,8 +148,8 @@ TEST(WireTest, RandomGarbageNeverCrashesDecoders) {
     (void)HelloResp::Decode(junk);
     (void)BeginReq::Decode(junk);
     (void)BeginResp::Decode(junk);
-    (void)StmtReq::Decode(junk);
     (void)StepResp::Decode(junk);
+    (void)TimeoutResp::Decode(junk);
     (void)StatsResp::Decode(junk);
     (void)BusyResp::Decode(junk);
     (void)ErrorResp::Decode(junk);
@@ -187,9 +192,17 @@ TEST(WireTest, SeededRandomFramesRoundTripThroughParser) {
   }
 }
 
+/// v3's BEGIN, STMT, COMMIT and ABORT tags.
+constexpr int kRetiredTags[] = {3, 5, 7, 8};
+
 TEST(WireTest, EveryMsgTypeHasAName) {
   for (int t = 1; t <= static_cast<int>(MsgType::kExec); ++t) {
-    EXPECT_STRNE(MsgTypeName(static_cast<MsgType>(t)), "?") << t;
+    const bool retired = std::find(std::begin(kRetiredTags),
+                                   std::end(kRetiredTags),
+                                   t) != std::end(kRetiredTags);
+    EXPECT_EQ(std::string(MsgTypeName(static_cast<MsgType>(t))) == "?",
+              retired)
+        << t;
   }
   EXPECT_STREQ(MsgTypeName(MsgType::kExec), "EXEC");
 }
@@ -234,6 +247,23 @@ Client MakeClient(const Server& server) {
   copts.port = server.port();
   copts.recv_timeout_ms = 20000;  // a wedged server fails the test, fast
   return Client(copts);
+}
+
+/// Banking options whose commits each fsync a WAL (in a fresh directory
+/// under the test temp dir, per process) before they release their locks.
+/// A banking transaction otherwise finishes in a few microseconds, less
+/// than a worker takes to wake up, so one worker tends to drain the whole
+/// queue alone and EXECs from different sessions rarely overlap. The
+/// fsync keeps each EXEC on its worker, holding its locks and its
+/// admission slot, long enough that concurrent sessions reliably run into
+/// both.
+ServerOptions FsyncingBankingOptions(const std::string& dir_name) {
+  ServerOptions options = BankingOptions();
+  options.wal_dir =
+      ::testing::TempDir() + dir_name + "_" + std::to_string(::getpid());
+  std::filesystem::remove_all(options.wal_dir);
+  options.wal_fsync = "per_commit";
+  return options;
 }
 
 TEST(ServerTest, NegotiatesLevelAndCommits) {
@@ -305,20 +335,8 @@ TEST(ServerTest, RejectsBadVersionBadStateAndUnknownType) {
     EXPECT_EQ(err.value().code, static_cast<uint16_t>(WireError::kBadVersion));
   }
   {
-    // BEGIN before HELLO is a state error; the session survives it.
-    Client client = MakeClient(server);
-    ASSERT_TRUE(client.Connect().ok());
-    ASSERT_TRUE(client.SendFrame(MsgType::kBegin, BeginReq().Encode()).ok());
-    Frame frame;
-    ASSERT_TRUE(client.RecvFrame(&frame).ok());
-    ASSERT_EQ(frame.type, MsgType::kError);
-    Result<ErrorResp> err = ErrorResp::Decode(frame.payload);
-    ASSERT_TRUE(err.ok());
-    EXPECT_EQ(err.value().code, static_cast<uint16_t>(WireError::kBadState));
-    ASSERT_TRUE(client.Hello().ok());  // recovery after the error
-  }
-  {
-    // So is EXEC before HELLO: a lone kBadState, no transaction started.
+    // EXEC before HELLO is a state error: a lone kBadState, no transaction
+    // started, and the session survives it.
     Client client = MakeClient(server);
     ASSERT_TRUE(client.Connect().ok());
     ASSERT_TRUE(client.SendFrame(MsgType::kExec, BeginReq().Encode()).ok());
@@ -335,9 +353,40 @@ TEST(ServerTest, RejectsBadVersionBadStateAndUnknownType) {
     Client client = MakeClient(server);
     ASSERT_TRUE(client.Connect().ok());
     ASSERT_TRUE(client.Hello().ok());
-    Result<BeginResult> begin = client.Begin("NoSuchType", kNegotiateLevel);
-    EXPECT_FALSE(begin.ok());  // surfaced as a server-error status
+    Result<TxnResult> run = client.RunTxn("NoSuchType", kNegotiateLevel);
+    EXPECT_FALSE(run.ok());  // surfaced as a server-error status
   }
+  server.Stop();
+}
+
+TEST(ServerTest, RetiredSteppingFramesAreBadFrameNotFatal) {
+  // v3's BEGIN/STMT/COMMIT/ABORT tags fall into the unexpected-frame path:
+  // one kBadFrame each, nothing begun, and the session keeps working.
+  Server server(BankingOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+  for (const int tag : kRetiredTags) {
+    ASSERT_TRUE(client
+                    .SendFrame(static_cast<MsgType>(tag),
+                               tag == 3 ? BeginReq().Encode() : "")
+                    .ok());
+    Frame frame;
+    ASSERT_TRUE(client.RecvFrame(&frame).ok()) << tag;
+    ASSERT_EQ(frame.type, MsgType::kError) << tag;
+    Result<ErrorResp> err = ErrorResp::Decode(frame.payload);
+    ASSERT_TRUE(err.ok());
+    EXPECT_EQ(err.value().code, static_cast<uint16_t>(WireError::kBadFrame))
+        << tag;
+  }
+  Result<TxnResult> run =
+      client.RunTxn("Deposit_ch", kNegotiateLevel, {{"i", 0}, {"d", 1}});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run.value().committed);
+  const ServerMetricsSnapshot m = server.Metrics();
+  EXPECT_EQ(m.protocol_errors, 4);
+  EXPECT_EQ(m.Committed() + m.Aborted(), 1);
   server.Stop();
 }
 
@@ -380,51 +429,52 @@ TEST(ServerTest, UnknownFrameTypeIsReportedNotFatal) {
 // ---------------------------------------------------------------------------
 
 TEST(ServerTest, AdmissionControlReturnsRetryAfterInsteadOfHanging) {
-  ServerOptions options = BankingOptions();
+  // A cap of one in-flight transaction, two workers and four concurrent
+  // clients: an EXEC over the cap is answered with BUSY instead of queueing,
+  // RunTxn re-sends it after the hint, every transaction still settles, and
+  // the server turned away exactly as many EXECs as the clients absorbed.
+  ServerOptions options = FsyncingBankingOptions("net_test_admission");
   options.max_inflight_txns = 1;
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
-
-  Client holder = MakeClient(server);
-  ASSERT_TRUE(holder.Connect().ok());
-  ASSERT_TRUE(holder.Hello().ok());
-  Result<BeginResult> held =
-      holder.Begin("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
-  ASSERT_TRUE(held.ok());
-  ASSERT_TRUE(held.value().admitted);
-
-  // Second transaction: must get BUSY with a retry hint, promptly.
-  Client blocked = MakeClient(server);
-  ASSERT_TRUE(blocked.Connect().ok());
-  ASSERT_TRUE(blocked.Hello().ok());
-  Result<BeginResult> rejected =
-      blocked.Begin("Deposit_sav", kNegotiateLevel, {{"i", 1}, {"d", 1}});
-  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
-  EXPECT_FALSE(rejected.value().admitted);
-  EXPECT_GT(rejected.value().retry_after_ms, 0u);
-
-  // Finish the holder; the slot frees and the retry is admitted.
-  for (;;) {
-    Result<StepResp> step = holder.Stmt();
-    ASSERT_TRUE(step.ok());
-    const StepWire outcome = static_cast<StepWire>(step.value().outcome);
-    ASSERT_NE(outcome, StepWire::kAborted);
-    if (outcome == StepWire::kBodyDone) break;
+  constexpr int kClients = 4;
+  constexpr int kTxns = 25;
+  std::atomic<long> busy{0};
+  std::atomic<long> committed{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kClients; ++t) {
+    pool.emplace_back([&, t] {
+      Client client = MakeClient(server);
+      if (!client.Connect().ok() || !client.Hello().ok()) {
+        failures++;
+        return;
+      }
+      for (int i = 0; i < kTxns; ++i) {
+        Result<TxnResult> run = client.RunTxn(
+            "Deposit_sav", kNegotiateLevel, {{"i", (t + i) % 4}, {"d", 1}});
+        if (!run.ok()) {
+          failures++;
+          return;
+        }
+        if (run.value().committed) committed++;
+        busy += run.value().busy_retries;
+      }
+    });
   }
-  Result<StepResp> committed = holder.Commit();
-  ASSERT_TRUE(committed.ok());
-  ASSERT_EQ(static_cast<StepWire>(committed.value().outcome),
-            StepWire::kCommitted);
+  for (std::thread& t : pool) t.join();
+  ASSERT_EQ(failures.load(), 0);
 
-  Result<TxnResult> retry =
-      blocked.RunTxn("Deposit_sav", kNegotiateLevel, {{"i", 1}, {"d", 1}});
-  ASSERT_TRUE(retry.ok());
-  EXPECT_TRUE(retry.value().committed);
-
+  // One transaction at a time never conflicts, so everything commits.
+  EXPECT_EQ(committed.load(), kClients * kTxns);
   const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_GE(m.admission_rejected, 1);
+  EXPECT_GT(busy.load(), 0);
+  EXPECT_EQ(m.admission_rejected, busy.load());
+  EXPECT_EQ(m.inflight_peak, 1);
   EXPECT_EQ(m.inflight, 0);
+  EXPECT_TRUE(server.InvariantHolds());
   server.Stop();
+  std::filesystem::remove_all(options.wal_dir);
 }
 
 TEST(ServerTest, PipelinedFloodIsAnsweredFrameForFrame) {
@@ -544,7 +594,7 @@ TEST(ExecTest, CommitsWithOneFrameInPerTransaction) {
                                           {{"i", i % 4}, {"w", 1}});
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_TRUE(run.value().committed) << run.value().detail;
-    EXPECT_EQ(run.value().busy_retries + run.value().blocked_retries, 0);
+    EXPECT_EQ(run.value().busy_retries, 0);
   }
   Result<StatsResp> after = client.Stats();
   ASSERT_TRUE(after.ok());
@@ -560,98 +610,69 @@ TEST(ExecTest, CommitsWithOneFrameInPerTransaction) {
 }
 
 TEST(ExecTest, OverAdmissionCapGetsLoneBusyThenRetryIsAdmitted) {
-  ServerOptions options = BankingOptions();
+  // Pipelined EXECs from concurrent sessions against a cap of one: each
+  // answer is either a complete BEGIN_OK + committed report or a lone BUSY
+  // with a retry hint (no BEGIN_OK trails it, or the answers that follow
+  // would fall out of step), and a re-sent EXEC is eventually admitted and
+  // commits in its one round trip.
+  ServerOptions options = FsyncingBankingOptions("net_test_over_cap");
   options.max_inflight_txns = 1;
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
-
-  Client holder = MakeClient(server);
-  ASSERT_TRUE(holder.Connect().ok());
-  ASSERT_TRUE(holder.Hello().ok());
-  Result<BeginResult> held =
-      holder.Begin("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
-  ASSERT_TRUE(held.ok());
-  ASSERT_TRUE(held.value().admitted);
-
-  Client client = MakeClient(server);
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.Hello().ok());
-  const std::string exec =
-      ExecPayload("Deposit_sav", kNegotiateLevel, {{"i", 1}, {"d", 1}});
-  ASSERT_TRUE(client.SendFrame(MsgType::kExec, exec).ok());
-  const std::vector<Frame> answer = RecvExecAnswer(client);
-  ASSERT_EQ(answer.size(), 1u);
-  ASSERT_EQ(answer[0].type, MsgType::kBusy);
-  Result<BusyResp> busy = BusyResp::Decode(answer[0].payload);
-  ASSERT_TRUE(busy.ok());
-  EXPECT_GT(busy.value().retry_after_ms, 0u);
-  ExpectNothingPending(client);  // no BEGIN_OK trails the BUSY
-  EXPECT_EQ(server.Metrics().inflight, 1);  // only the holder's slot
-
-  Result<StepResp> aborted = holder.Abort();
-  ASSERT_TRUE(aborted.ok());
-  EXPECT_EQ(static_cast<StepWire>(aborted.value().outcome), StepWire::kAborted);
-  EXPECT_EQ(server.Metrics().inflight, 0);
-
-  // The re-sent EXEC is admitted and commits in the same round trip.
-  ASSERT_TRUE(client.SendFrame(MsgType::kExec, exec).ok());
-  const std::vector<Frame> retry = RecvExecAnswer(client);
-  ASSERT_EQ(retry.size(), 2u);
-  EXPECT_EQ(StepOutcomeOf(retry[1]), StepWire::kCommitted);
-
-  const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_EQ(m.admission_rejected, 1);
-  EXPECT_EQ(m.inflight, 0);
-  EXPECT_EQ(m.Committed(), 1);
-  server.Stop();
-}
-
-TEST(ExecTest, WhileATransactionIsActiveIsBadStateAndLeavesItAlone) {
-  Server server(BankingOptions());
-  ASSERT_TRUE(server.Start().ok());
-  Client client = MakeClient(server);
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.Hello().ok());
-  Result<BeginResult> begin =
-      client.Begin("Withdraw_sav", kNegotiateLevel, {{"i", 0}, {"w", 1}});
-  ASSERT_TRUE(begin.ok());
-  ASSERT_TRUE(begin.value().admitted);
-  Result<StepResp> first = client.Stmt(1);
-  ASSERT_TRUE(first.ok());
-  ASSERT_EQ(static_cast<StepWire>(first.value().outcome), StepWire::kRunning);
-
-  ASSERT_TRUE(client
-                  .SendFrame(MsgType::kExec,
-                             ExecPayload("Deposit_sav", kNegotiateLevel,
-                                         {{"i", 1}, {"d", 1}}))
-                  .ok());
-  const std::vector<Frame> answer = RecvExecAnswer(client);
-  ASSERT_EQ(answer.size(), 1u);
-  EXPECT_EQ(ErrorCodeOf(answer[0]),
-            static_cast<uint16_t>(WireError::kBadState));
-  ExpectNothingPending(client);
-
-  // The live transaction carries on where it was and commits.
-  for (;;) {
-    Result<StepResp> step = client.Stmt();
-    ASSERT_TRUE(step.ok());
-    const StepWire outcome = static_cast<StepWire>(step.value().outcome);
-    ASSERT_EQ(outcome == StepWire::kRunning || outcome == StepWire::kBodyDone,
-              true)
-        << StepWireName(outcome);
-    if (outcome == StepWire::kBodyDone) break;
+  constexpr int kClients = 4;
+  constexpr int kTxns = 24;
+  constexpr size_t kPipeline = 4;
+  std::atomic<long> busy{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kClients; ++t) {
+    pool.emplace_back([&, t] {
+      Client client = MakeClient(server);
+      ASSERT_TRUE(client.Connect().ok());
+      ASSERT_TRUE(client.Hello().ok());
+      std::deque<std::string> todo;
+      for (int i = 0; i < kTxns; ++i) {
+        todo.push_back(ExecPayload("Deposit_ch", kNegotiateLevel,
+                                   {{"i", (t + i) % 4}, {"d", 1}}));
+      }
+      while (!todo.empty()) {
+        std::vector<std::string> batch;
+        std::string frames;
+        while (!todo.empty() && batch.size() < kPipeline) {
+          batch.push_back(std::move(todo.front()));
+          todo.pop_front();
+          frames += EncodeFrame(MsgType::kExec, batch.back());
+        }
+        ASSERT_TRUE(client.SendRaw(frames).ok());
+        uint32_t nap_ms = 0;
+        for (std::string& exec : batch) {
+          const std::vector<Frame> answer = RecvExecAnswer(client);
+          if (answer.size() == 2) {
+            EXPECT_EQ(StepOutcomeOf(answer[1]), StepWire::kCommitted);
+            continue;
+          }
+          ASSERT_EQ(answer[0].type, MsgType::kBusy);
+          Result<BusyResp> hint = BusyResp::Decode(answer[0].payload);
+          ASSERT_TRUE(hint.ok());
+          ASSERT_GT(hint.value().retry_after_ms, 0u);
+          nap_ms = hint.value().retry_after_ms;
+          busy++;
+          todo.push_back(std::move(exec));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(nap_ms));
+      }
+      ExpectNothingPending(client);
+    });
   }
-  Result<StepResp> commit = client.Commit();
-  ASSERT_TRUE(commit.ok());
-  EXPECT_EQ(static_cast<StepWire>(commit.value().outcome),
-            StepWire::kCommitted);
+  for (std::thread& t : pool) t.join();
 
   const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_EQ(m.Committed(), 1);
-  EXPECT_EQ(m.Aborted(), 0);
-  EXPECT_EQ(m.per_type.count("Deposit_sav"), 0u);  // never begun
+  EXPECT_GT(busy.load(), 0);
+  EXPECT_EQ(m.admission_rejected, busy.load());
+  EXPECT_EQ(m.Committed(), kClients * kTxns);
+  EXPECT_EQ(m.inflight_peak, 1);
   EXPECT_EQ(m.inflight, 0);
   server.Stop();
+  std::filesystem::remove_all(options.wal_dir);
 }
 
 TEST(ExecTest, UnknownTypeIsBadRequestAndLeaksNoSlot) {
@@ -685,59 +706,83 @@ TEST(ExecTest, UnknownTypeIsBadRequestAndLeaksNoSlot) {
   server.Stop();
 }
 
-TEST(ExecTest, BlockedBehindRrHolderCommitsThroughCommitRetry) {
-  Server server(BankingOptions());
+TEST(ExecTest, ConflictingExecsWaitServerSide) {
+  // Every session hammers account 0 with the four banking types at
+  // REPEATABLE READ, pipelining a few EXECs per write, and each commit holds
+  // its locks across an fsync, so the EXECs overlap constantly: each
+  // withdrawal S-locks both balances and then upgrades one, the classic
+  // upgrade deadlock. The server waits out each conflict in the lock
+  // manager and the wait-for graph picks the deadlock victims. Every EXEC
+  // is answered, nothing is re-sent, and each abort a client sees is one
+  // deadlock the lock manager detected.
+  ServerOptions options = FsyncingBankingOptions("net_test_conflicts");
+  options.workers = 4;
+  Server server(options);
   ASSERT_TRUE(server.Start().ok());
+  constexpr int kSessions = 6;
+  constexpr int kBatches = 50;
+  constexpr int kPipeline = 4;  // within the default session queue limit
   const uint8_t rr = static_cast<uint8_t>(IsoLevel::kRepeatableRead);
-  const std::vector<std::pair<std::string, int64_t>> params = {{"i", 0},
-                                                               {"d", 1}};
-
-  // The holder writes sav[0] under REPEATABLE READ and stops before COMMIT,
-  // so it keeps the exclusive lock.
-  Client holder = MakeClient(server);
-  ASSERT_TRUE(holder.Connect().ok());
-  ASSERT_TRUE(holder.Hello().ok());
-  Result<BeginResult> held = holder.Begin("Deposit_sav", rr, params);
-  ASSERT_TRUE(held.ok());
-  ASSERT_TRUE(held.value().admitted);
-  for (;;) {
-    Result<StepResp> step = holder.Stmt();
-    ASSERT_TRUE(step.ok());
-    const StepWire outcome = static_cast<StepWire>(step.value().outcome);
-    ASSERT_EQ(outcome, outcome == StepWire::kBodyDone ? StepWire::kBodyDone
-                                                      : StepWire::kRunning);
-    if (outcome == StepWire::kBodyDone) break;
+  const std::string kTypes[] = {"Withdraw_sav", "Withdraw_ch", "Deposit_sav",
+                                "Deposit_ch"};
+  ClientOptions copts;
+  copts.port = server.port();
+  copts.recv_timeout_ms = 10000;
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int t = 0; t < kSessions; ++t) {
+    clients.push_back(std::make_unique<Client>(copts));
+    ASSERT_TRUE(clients.back()->Connect().ok());
+    ASSERT_TRUE(clients.back()->Hello().ok());
   }
+  Client control(copts);
+  ASSERT_TRUE(control.Connect().ok());
+  ASSERT_TRUE(control.Hello().ok());
+  Result<StatsResp> before = control.Stats();
+  ASSERT_TRUE(before.ok());
 
-  // An EXEC reading sav[0] is admitted, then blocks on the read lock.
-  Client client = MakeClient(server);
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.Hello().ok());
-  ASSERT_TRUE(
-      client.SendFrame(MsgType::kExec, ExecPayload("Deposit_sav", rr, params))
-          .ok());
-  const std::vector<Frame> answer = RecvExecAnswer(client);
-  ASSERT_EQ(answer.size(), 2u);
-  EXPECT_EQ(StepOutcomeOf(answer[1]), StepWire::kBlocked);
-  EXPECT_EQ(server.Metrics().inflight, 2);
+  std::atomic<long> committed{0};
+  std::atomic<long> aborted{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kSessions; ++t) {
+    pool.emplace_back([&, t] {
+      Client& client = *clients[static_cast<size_t>(t)];
+      for (int batch = 0; batch < kBatches; ++batch) {
+        std::string frames;
+        for (int k = 0; k < kPipeline; ++k) {
+          const std::string& type = kTypes[(t + batch + k) % 4];
+          const std::string amount = type.starts_with("Withdraw") ? "w" : "d";
+          frames += EncodeFrame(MsgType::kExec,
+                                ExecPayload(type, rr, {{"i", 0}, {amount, 1}}));
+        }
+        ASSERT_TRUE(client.SendRaw(frames).ok());
+        for (int k = 0; k < kPipeline; ++k) {
+          const std::vector<Frame> answer = RecvExecAnswer(client);
+          ASSERT_EQ(answer.size(), 2u) << MsgTypeName(answer[0].type);
+          (StepOutcomeOf(answer[1]) == StepWire::kCommitted ? committed
+                                                            : aborted)++;
+        }
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  Result<StatsResp> after = control.Stats();
+  ASSERT_TRUE(after.ok());
+  const StatsResp& a = after.value();
+  const StatsResp& b = before.value();
 
-  Result<StepResp> holder_commit = holder.Commit();
-  ASSERT_TRUE(holder_commit.ok());
-  EXPECT_EQ(static_cast<StepWire>(holder_commit.value().outcome),
-            StepWire::kCommitted);
-
-  // The blocked EXEC finishes through the ordinary COMMIT retry.
-  Result<StepResp> commit = client.Commit();
-  ASSERT_TRUE(commit.ok());
-  EXPECT_EQ(static_cast<StepWire>(commit.value().outcome),
-            StepWire::kCommitted);
-
-  const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_EQ(m.Committed(), 2);
-  EXPECT_GE(m.blocked_retries, 1);
-  EXPECT_EQ(m.inflight, 0);
+  constexpr long kExecs = kSessions * kBatches * kPipeline;
+  EXPECT_EQ(committed + aborted, kExecs);
+  // One inbound frame per EXEC (plus this STATS request): no re-sends.
+  EXPECT_EQ(a.Counter("frames_in") - b.Counter("frames_in"), kExecs + 1);
+  EXPECT_EQ(a.Counter("committed") - b.Counter("committed"), committed.load());
+  EXPECT_EQ(a.Counter("aborted") - b.Counter("aborted"), aborted.load());
+  EXPECT_EQ(a.Counter("deadlocks"), a.Counter("lock.deadlocks"));
+  EXPECT_EQ(a.Counter("deadlocks"), aborted.load());
+  EXPECT_GT(a.Counter("lock.blocks"), 0);  // the EXECs did wait on each other
+  EXPECT_EQ(server.Metrics().inflight, 0);
   EXPECT_TRUE(server.InvariantHolds());
   server.Stop();
+  std::filesystem::remove_all(options.wal_dir);
 }
 
 TEST(ExecTest, TwoPipelinedExecsGetTwoCompleteAnswers) {
@@ -768,24 +813,29 @@ TEST(ExecTest, TwoPipelinedExecsGetTwoCompleteAnswers) {
 TEST(ExecTest, StatsLatencyGaugesComeFromOneBoundedHistogram) {
   // Committed EXECs feed the server's latency histograms: STATS reports
   // ordered, positive percentiles, a per-type gauge for exactly the types
-  // that committed (not for one that only began and aborted), and the
-  // global histogram counts every commit.
-  Server server(BankingOptions());
+  // that committed (not for a TPC-C NewOrder that began and rolled itself
+  // back), and the global histogram counts every commit.
+  ServerOptions options;
+  options.workload = "tpcc";
+  options.workers = 2;
+  Server server(options);
   ASSERT_TRUE(server.Start().ok());
   Client client = MakeClient(server);
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(client.Hello().ok());
-  Result<BeginResult> begun =
-      client.Begin("Deposit_ch", kNegotiateLevel, {{"i", 0}, {"d", 1}});
-  ASSERT_TRUE(begun.ok() && begun.value().admitted);
-  ASSERT_TRUE(client.Abort().ok());
+  Result<TxnResult> rolled_back = client.RunTxn(
+      "TNewOrder", kNegotiateLevel,
+      {{"d", 0}, {"c", 0}, {"item", 0}, {"supply_w", 0}, {"qty", 1},
+       {"rollback", 1}});
+  ASSERT_TRUE(rolled_back.ok()) << rolled_back.status().ToString();
+  ASSERT_FALSE(rolled_back.value().committed);
   constexpr int kTxns = 40;
   std::set<std::string> committed_types;
   for (int i = 0; i < kTxns; ++i) {
-    const bool deposit = i % 2 == 0;
+    // Empty params: the server draws them (a drawn TPayment or TOrderStatus
+    // never rolls back).
     Result<TxnResult> run = client.RunTxn(
-        deposit ? "Deposit_sav" : "Withdraw_ch", kNegotiateLevel,
-        {{"i", i % 4}, {deposit ? "d" : "w", 1}});
+        i % 2 == 0 ? "TPayment" : "TOrderStatus", kNegotiateLevel);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     if (run.value().committed) committed_types.insert(run.value().txn_type);
   }
@@ -808,6 +858,7 @@ TEST(ExecTest, StatsLatencyGaugesComeFromOneBoundedHistogram) {
     EXPECT_GT(value, 0) << name;
   }
   EXPECT_EQ(gauge_types, committed_types);
+  EXPECT_EQ(st.Counter("type.TNewOrder.begin"), 1);
 
   const ServerMetricsSnapshot m = server.Metrics();
   EXPECT_EQ(m.Aborted(), 1);
@@ -824,7 +875,6 @@ struct SmokeTally {
   std::array<long, kIsoLevelCount> commits{};
   std::array<long, kIsoLevelCount> aborts{};
   long busy = 0;
-  long blocked = 0;
 };
 
 void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
@@ -866,7 +916,6 @@ void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
           local.aborts[r.level]++;
         }
         local.busy += r.busy_retries;
-        local.blocked += r.blocked_retries;
       }
       std::lock_guard<std::mutex> lock(mu);
       for (int i = 0; i < kIsoLevelCount; ++i) {
@@ -874,7 +923,6 @@ void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
         total->aborts[i] += local.aborts[i];
       }
       total->busy += local.busy;
-      total->blocked += local.blocked;
     });
   }
   for (std::thread& t : pool) t.join();
@@ -954,7 +1002,6 @@ TEST(ServerTest, SequentialCountersMatchInProcessDriver) {
   for (const auto& [type, params] : script) {
     Result<TxnResult> run = client.RunTxn(type, rr, params);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(run.value().blocked_retries, 0);  // sequential: no conflicts
   }
   const ServerMetricsSnapshot server_m = server.Metrics();
   server.Stop();
@@ -981,101 +1028,59 @@ TEST(ServerTest, SequentialCountersMatchInProcessDriver) {
   EXPECT_EQ(server_m.Aborted(), aborted);
   EXPECT_EQ(server_m.deadlocks, 0);
   EXPECT_EQ(server_m.fcw_conflicts, 0);
-  EXPECT_EQ(server_m.deadlock_victims, driver.deadlock_victims());
-  EXPECT_EQ(server_m.blocked_retries, driver.blocked_steps());
+  EXPECT_EQ(driver.deadlock_victims(), 0);
 }
 
-TEST(ServerTest, DeadlockParityWithStepDriver) {
-  // Withdraw_sav(0) and Withdraw_ch(0) at REPEATABLE READ S-lock both
-  // balances, then upgrade different ones: a classic upgrade deadlock. The
-  // in-process round-robin driver resolves it with one victim; the server's
-  // bounded-wait policy must converge to the same counts.
-  const std::vector<std::pair<std::string, int64_t>> params = {{"i", 0},
-                                                               {"w", 1}};
-  const uint8_t rr = static_cast<uint8_t>(IsoLevel::kRepeatableRead);
+// ---------------------------------------------------------------------------
+// Client.
+// ---------------------------------------------------------------------------
 
-  // In-process baseline.
-  Workload workload = MakeBankingWorkload();
-  long driver_committed = 0, driver_aborted = 0;
-  long driver_victims;
-  {
-    Store store;
-    LockManager locks;
-    TxnManager mgr(&store, &locks);
-    ASSERT_TRUE(workload.setup(&store).ok());
-    std::map<std::string, Value> value_params = {{"i", Value::Int(0)},
-                                                 {"w", Value::Int(1)}};
-    StepDriver driver(&mgr);
-    driver.Add(workload.InstantiateWith("Withdraw_sav", value_params),
-               IsoLevel::kRepeatableRead);
-    driver.Add(workload.InstantiateWith("Withdraw_ch", value_params),
-               IsoLevel::kRepeatableRead);
-    driver.RunRoundRobin();
-    for (int i = 0; i < 2; ++i) {
-      (driver.run(i).outcome() == StepOutcome::kCommitted ? driver_committed
-                                                          : driver_aborted)++;
-    }
-    driver_victims = driver.deadlock_victims();
-    ASSERT_EQ(driver_victims, 1);
-  }
+TEST(ClientTest, CloseDropsPartialFrameBeforeReconnect) {
+  // A peer that sends part of a frame header and hangs up leaves bytes in
+  // the client's parser. Close() must drop them, so a Connect() on the same
+  // Client (to a real server on the same port) parses a clean stream.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const int one = 1;
+  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const uint16_t port = ntohs(addr.sin_port);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    // Three bytes of a length header: followed by any real frame they read
+    // as a body length far past kMaxFrameBytes.
+    const char partial[3] = {5, 0, 0};
+    (void)::send(fd, partial, sizeof(partial), MSG_NOSIGNAL);
+    ::close(fd);
+  });
 
-  // Server twin: step the two sessions alternately one statement at a time
-  // until both are blocked, then hammer session 1 until the bounded-wait
-  // policy aborts it, and let session 2 finish.
+  ClientOptions copts;
+  copts.port = port;
+  copts.recv_timeout_ms = 20000;
+  Client client(copts);
+  ASSERT_TRUE(client.Connect().ok());
+  peer.join();
+  ::close(listener);
+  Frame frame;
+  EXPECT_FALSE(client.RecvFrame(&frame).ok());  // EOF mid-header
+  client.Close();
+
   ServerOptions options = BankingOptions();
-  options.blocked_abort_threshold = 3;
+  options.port = port;
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
-  Client c1 = MakeClient(server);
-  Client c2 = MakeClient(server);
-  ASSERT_TRUE(c1.Connect().ok());
-  ASSERT_TRUE(c2.Connect().ok());
-  ASSERT_TRUE(c1.Hello().ok());
-  ASSERT_TRUE(c2.Hello().ok());
-  Result<BeginResult> b1 = c1.Begin("Withdraw_sav", rr, params);
-  Result<BeginResult> b2 = c2.Begin("Withdraw_ch", rr, params);
-  ASSERT_TRUE(b1.ok() && b1.value().admitted);
-  ASSERT_TRUE(b2.ok() && b2.value().admitted);
-
-  // Alternate single statements until both report kBlocked back to back.
-  auto step_one = [](Client& c) -> StepWire {
-    Result<StepResp> r = c.Stmt(1);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return static_cast<StepWire>(r.value().outcome);
-  };
-  StepWire s1 = StepWire::kRunning, s2 = StepWire::kRunning;
-  for (int i = 0; i < 64; ++i) {
-    s1 = step_one(c1);
-    s2 = step_one(c2);
-    if (s1 == StepWire::kBlocked && s2 == StepWire::kBlocked) break;
-  }
-  ASSERT_EQ(s1, StepWire::kBlocked);
-  ASSERT_EQ(s2, StepWire::kBlocked);
-
-  // Hammer session 1 past the threshold: it becomes the deadlock victim.
-  bool aborted = false;
-  for (int i = 0; i < 16 && !aborted; ++i) {
-    aborted = step_one(c1) == StepWire::kAborted;
-  }
-  ASSERT_TRUE(aborted);
-
-  // Session 2 is unblocked now and must run to commit.
-  for (;;) {
-    const StepWire outcome = step_one(c2);
-    ASSERT_NE(outcome, StepWire::kAborted);
-    if (outcome == StepWire::kBodyDone) break;
-  }
-  Result<StepResp> commit = c2.Commit();
-  ASSERT_TRUE(commit.ok());
-  ASSERT_EQ(static_cast<StepWire>(commit.value().outcome),
-            StepWire::kCommitted);
-
-  const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_EQ(m.Committed(), driver_committed);
-  EXPECT_EQ(m.Aborted(), driver_aborted);
-  EXPECT_EQ(m.deadlock_victims, driver_victims);
-  EXPECT_EQ(m.deadlocks, driver_victims);
-  EXPECT_TRUE(server.InvariantHolds());
+  ASSERT_TRUE(client.Connect().ok());
+  Result<HelloResp> hello = client.Hello();
+  EXPECT_TRUE(hello.ok()) << hello.status().ToString();
   server.Stop();
 }
 
