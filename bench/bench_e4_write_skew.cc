@@ -33,23 +33,17 @@ RoundOutcome RunRound(const Workload& w, IsoLevel level, int accounts,
   CommitLog log;
   StepDriver driver(&mgr, &log);
 
-  auto program = [&](const std::string& type, int64_t account, int64_t amount) {
-    for (const TransactionType& t : w.app.types) {
-      if (t.name == type) {
-        return std::make_shared<TxnProgram>(
-            t.make({{"i", Value::Int(account)},
-                    {type[0] == 'W' ? "w" : "d", Value::Int(amount)}}));
-      }
-    }
-    return std::shared_ptr<TxnProgram>();
+  auto program = [&](const char* type, const char* amount_name,
+                     int64_t amount) {
+    return w
+        .Instantiate(type, {{"i", Value::Int(rng->Uniform(0, accounts - 1))},
+                            {amount_name, Value::Int(amount)}})
+        .value();
   };
-
   // Withdrawals sized so that one succeeds alone but two overdraw.
-  const int64_t acct1 = rng->Uniform(0, accounts - 1);
-  const int64_t acct2 = rng->Uniform(0, accounts - 1);
-  driver.Add(program("Withdraw_sav", acct1, 15), level);
-  driver.Add(program("Withdraw_ch", acct2, 15), level);
-  driver.Add(program("Deposit_sav", rng->Uniform(0, accounts - 1), 3), level);
+  driver.Add(program("Withdraw_sav", "w", 15), level);
+  driver.Add(program("Withdraw_ch", "w", 15), level);
+  driver.Add(program("Deposit_sav", "d", 3), level);
 
   // Random interleaving, then drain.
   for (int step = 0; step < 64 && !driver.AllDone(); ++step) {

@@ -228,7 +228,7 @@ void BM_TxnBankingDeposit(benchmark::State& state) {
   LockManager locks;
   TxnManager mgr(&store, &locks);
   Rng rng(1);
-  auto program = w.instantiate("Deposit_sav", rng);
+  auto program = w.Instantiate("Deposit_sav", rng).value();
   for (auto _ : state) {
     ProgramRun run(&mgr, program, IsoLevel::kReadCommitted, nullptr);
     benchmark::DoNotOptimize(run.RunToCompletion());
@@ -244,7 +244,7 @@ void BM_TxnOrdersNewOrder(benchmark::State& state) {
   TxnManager mgr(&store, &locks);
   Rng rng(1);
   for (auto _ : state) {
-    auto program = w.instantiate("New_Order", rng);
+    auto program = w.Instantiate("New_Order", rng).value();
     ProgramRun run(&mgr, program, IsoLevel::kReadCommitted, nullptr);
     benchmark::DoNotOptimize(run.RunToCompletion());
   }

@@ -38,8 +38,8 @@ MonitorRun RunRounds(IsoLevel print_level, bool with_monitor, int rounds) {
     }
     // Two Hours writers and two readers on overlapping employees.
     for (int i = 0; i < 2; ++i) {
-      driver.Add(w.instantiate("Hours", rng), IsoLevel::kReadCommitted);
-      driver.Add(w.instantiate("Print_Records", rng), print_level);
+      driver.Add(w.Instantiate("Hours", rng).value(), IsoLevel::kReadCommitted);
+      driver.Add(w.Instantiate("Print_Records", rng).value(), print_level);
     }
     for (int step = 0; step < 64 && !driver.AllDone(); ++step) {
       driver.Step(static_cast<int>(rng.Uniform(0, driver.size() - 1)));

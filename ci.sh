@@ -90,13 +90,14 @@ cmake --build build-asan -j"$(nproc)" --target lock_shard_test wal_test
 
 # ThreadSanitizer stage: the sharded lock manager and the WAL (group-commit
 # flusher fsyncing outside the append mutex) are the components with genuine
-# cross-thread mutation, so their batteries — plus the executor, fault, and
-# network-server suites that drive them from worker threads — must come up
-# race-free.
+# cross-thread mutation, so their batteries — plus the executor, fault,
+# network-server and chaos-proxy suites that drive them from worker threads —
+# must come up race-free.
 cmake -B build-tsan -S . -DSEMCOR_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target lock_test lock_shard_test \
-    executor_test fault_test net_test wal_test
-for t in lock_test lock_shard_test executor_test fault_test net_test wal_test; do
+    executor_test fault_test net_test wal_test chaos_test
+for t in lock_test lock_shard_test executor_test fault_test net_test wal_test \
+    chaos_test; do
   ./build-tsan/tests/"$t"
 done
 

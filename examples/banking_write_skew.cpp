@@ -17,19 +17,6 @@ using namespace semcor;
 
 namespace {
 
-std::shared_ptr<const TxnProgram> Make(const Workload& w,
-                                       const std::string& type, int64_t i,
-                                       int64_t amount) {
-  for (const TransactionType& t : w.app.types) {
-    if (t.name == type) {
-      const char* key = type.rfind("Deposit", 0) == 0 ? "d" : "w";
-      return std::make_shared<TxnProgram>(
-          t.make({{"i", Value::Int(i)}, {key, Value::Int(amount)}}));
-    }
-  }
-  return nullptr;
-}
-
 void RunPair(const Workload& w, IsoLevel level) {
   Store store;
   LockManager locks;
@@ -39,8 +26,9 @@ void RunPair(const Workload& w, IsoLevel level) {
   CommitLog log;
   StepDriver driver(&mgr, &log);
   InvalidationMonitor monitor(&store, &driver);
-  driver.Add(Make(w, "Withdraw_sav", 1, 15), level);
-  driver.Add(Make(w, "Withdraw_ch", 1, 15), level);
+  const ParamList params = {{"i", Value::Int(1)}, {"w", Value::Int(15)}};
+  driver.Add(w.Instantiate("Withdraw_sav", params).value(), level);
+  driver.Add(w.Instantiate("Withdraw_ch", params).value(), level);
   driver.RunRoundRobin();
 
   const int64_t sav = store.ReadItemCommitted("acct_sav[1].bal").value().AsInt();

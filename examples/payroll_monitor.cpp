@@ -22,18 +22,10 @@ void Demo(IsoLevel print_level) {
   StepDriver driver(&mgr);
   InvalidationMonitor monitor(&store, &driver);
 
-  auto program = [&](const std::string& type, int64_t i, int64_t h) {
-    for (const TransactionType& t : w.app.types) {
-      if (t.name == type) {
-        std::map<std::string, Value> params = {{"i", Value::Int(i)}};
-        if (type == "Hours") params["h"] = Value::Int(h);
-        return std::make_shared<TxnProgram>(t.make(params));
-      }
-    }
-    return std::shared_ptr<TxnProgram>();
-  };
-  driver.Add(program("Hours", 1, 4), IsoLevel::kReadCommitted);
-  driver.Add(program("Print_Records", 1, 0), print_level);
+  const ParamList hours = {{"i", Value::Int(1)}, {"h", Value::Int(4)}};
+  driver.Add(w.Instantiate("Hours", hours).value(), IsoLevel::kReadCommitted);
+  driver.Add(w.Instantiate("Print_Records", {{"i", Value::Int(1)}}).value(),
+             print_level);
 
   // Adversarial interleaving: Hours' first update lands between
   // Print_Records' control points.

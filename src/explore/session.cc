@@ -57,13 +57,12 @@ Status ExploreSession::Init(const Workload& workload, const ExploreMix& mix,
   if (!s.ok()) return s;
   checkpoint_ = store_.Checkpoint();
   for (const ExploreMix::Entry& entry : mix.txns) {
-    auto program = workload.InstantiateWith(entry.type, entry.params);
-    if (program == nullptr) {
+    auto program = workload.Instantiate(entry.type, entry.params);
+    if (!program.ok()) {
       return Status::InvalidArgument(
-          StrCat("unknown transaction type ", entry.type, " in mix ",
-                 mix.name));
+          StrCat(program.status().message(), " in mix ", mix.name));
     }
-    programs_.push_back(std::move(program));
+    programs_.push_back(program.take());
   }
   if (programs_.empty()) {
     return Status::InvalidArgument(StrCat("mix ", mix.name, " is empty"));

@@ -100,11 +100,12 @@ Status ChaosProxy::Start() {
 void ChaosProxy::Stop() {
   if (!started_) return;
   stopping_.store(true, std::memory_order_release);
-  // Closing the listener pops AcceptLoop out of accept(2).
+  // Shutting the listener down pops AcceptLoop out of accept(2). The fd is
+  // closed and reset only once that thread, its reader, has exited.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::shared_ptr<Conn>> conns;
   {
     std::lock_guard<std::mutex> lk(mu_);

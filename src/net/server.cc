@@ -48,6 +48,15 @@ bool MakeWorkloadByName(const ServerOptions& options, Workload* out) {
   return true;
 }
 
+/// EXEC's integer parameters as a request for Workload::Instantiate.
+ParamList WireParams(const BeginReq& req) {
+  ParamList params;
+  for (const auto& [name, value] : req.params) {
+    params.emplace_back(name, Value::Int(value));
+  }
+  return params;
+}
+
 std::string ErrorFrame(WireError code, const std::string& message) {
   ErrorResp resp;
   resp.code = static_cast<uint16_t>(code);
@@ -681,36 +690,17 @@ std::string Server::HandleExec(Session& session, const Frame& frame) {
     metrics_->data.inflight--;
   };
 
-  // Resolve the transaction type and program.
-  std::string type = begin.txn_type;
-  std::shared_ptr<const TxnProgram> program;
-  if (type.empty() && !workload_.mix.empty()) {
-    // Server-side draw from the workload mix (deterministic per session).
-    double total = 0;
-    for (const auto& [name, weight] : workload_.mix) total += weight;
-    double pick = session.rng.NextDouble() * total;
-    type = workload_.mix.back().first;
-    for (const auto& [name, weight] : workload_.mix) {
-      pick -= weight;
-      if (pick <= 0) {
-        type = name;
-        break;
-      }
-    }
-  }
-  if (!begin.params.empty()) {
-    std::map<std::string, Value> params;
-    for (const auto& [key, value] : begin.params) {
-      params[key] = Value::Int(value);
-    }
-    program = workload_.InstantiateWith(type, params);
-  } else {
-    program = workload_.instantiate(type, session.rng);
-  }
-  if (!program) {
+  // Resolve the program. An empty type or parameter list is drawn from the
+  // session's stream; explicit parameters must match the type's signature.
+  const std::string& type = begin.txn_type.empty()
+                                ? workload_.DrawType(session.rng)
+                                : begin.txn_type;
+  Result<std::shared_ptr<const TxnProgram>> program =
+      begin.params.empty() ? workload_.Instantiate(type, session.rng)
+                           : workload_.Instantiate(type, WireParams(begin));
+  if (!program.ok()) {
     release_slot();
-    return ErrorFrame(WireError::kBadRequest,
-                      StrCat("unknown transaction type '", type, "'"));
+    return ErrorFrame(WireError::kBadRequest, program.status().message());
   }
 
   // Negotiate (or validate) the isolation level.
@@ -765,7 +755,7 @@ std::string Server::HandleExec(Session& session, const Frame& frame) {
   // wait parks this worker behind another worker's running transaction
   // (none is ever left open between frames), and a wait-for cycle aborts
   // the requester that closes it with kDeadlock.
-  ProgramRun run(&mgr_, std::move(program), level);
+  ProgramRun run(&mgr_, program.take(), level);
   const auto begin_time = std::chrono::steady_clock::now();
   const bool committed = run.RunToCompletion() == StepOutcome::kCommitted;
   const Status& failure = run.failure();

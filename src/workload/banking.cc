@@ -114,18 +114,12 @@ Workload MakeBankingWorkload(int accounts) {
     return Status::Ok();
   };
 
-  auto types = std::make_shared<std::vector<TransactionType>>(w.app.types);
-  w.instantiate = [types, accounts](const std::string& name, Rng& rng)
-      -> std::shared_ptr<const TxnProgram> {
-    for (const TransactionType& type : *types) {
-      if (type.name != name) continue;
-      std::map<std::string, Value> params;
-      params["i"] = Value::Int(rng.Uniform(0, accounts - 1));
-      const char* amount = StartsWith(name, "Deposit") ? "d" : "w";
-      params[amount] = Value::Int(rng.Uniform(1, 5));
-      return std::make_shared<TxnProgram>(type.make(params));
-    }
-    return nullptr;
+  w.draw_params = [accounts](const std::string& name, Rng& rng) {
+    ParamList params;
+    params.emplace_back("i", Value::Int(rng.Uniform(0, accounts - 1)));
+    const char* amount = StartsWith(name, "Deposit") ? "d" : "w";
+    params.emplace_back(amount, Value::Int(rng.Uniform(1, 5)));
+    return params;
   };
 
   w.paper_levels = {{"Withdraw_sav", IsoLevel::kRepeatableRead},

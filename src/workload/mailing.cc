@@ -111,23 +111,17 @@ Workload MakeMailingWorkload() {
     return Status::Ok();
   };
 
-  auto types = std::make_shared<std::vector<TransactionType>>(w.app.types);
-  w.instantiate = [types](const std::string& name, Rng& rng)
-      -> std::shared_ptr<const TxnProgram> {
+  w.draw_params = [](const std::string& name, Rng& rng) {
     static const char* kNames[] = {"a", "b", "c", "d", "e", "f"};
-    for (const TransactionType& type : *types) {
-      if (type.name != name) continue;
-      std::map<std::string, Value> params;
-      const char* customer = kNames[rng.Uniform(0, 5)];
-      if (name == "Mailing_List_Strong") {
-        params["c"] = Value::Str(customer);
-      } else if (name == "New_Order_Cust") {
-        params["customer"] = Value::Str(customer);
-        params["address"] = Value::Str("addr");
-      }
-      return std::make_shared<TxnProgram>(type.make(params));
+    ParamList params;
+    const char* customer = kNames[rng.Uniform(0, 5)];
+    if (name == "Mailing_List_Strong") {
+      params.emplace_back("c", Value::Str(customer));
+    } else if (name == "New_Order_Cust") {
+      params.emplace_back("customer", Value::Str(customer));
+      params.emplace_back("address", Value::Str("addr"));
     }
-    return nullptr;
+    return params;
   };
 
   w.paper_levels = {{"Mailing_List", IsoLevel::kReadUncommitted},

@@ -237,25 +237,20 @@ Workload MakeOrdersWorkload(bool one_order_per_day) {
     return Status::Ok();
   };
 
-  auto types = std::make_shared<std::vector<TransactionType>>(w.app.types);
-  w.instantiate = [types](const std::string& name, Rng& rng)
-      -> std::shared_ptr<const TxnProgram> {
+  w.draw_params = [](const std::string& name, Rng& rng) {
     static const char* kNames[] = {"a", "b", "c", "d", "e", "f"};
-    for (const TransactionType& type : *types) {
-      if (type.name != name) continue;
-      std::map<std::string, Value> params;
-      if (name == "New_Order") {
-        params["customer"] = Value::Str(kNames[rng.Uniform(0, 5)]);
-        params["address"] = Value::Str("addr");
-        params["order_info"] = Value::Int(rng.Uniform(1000, 99999999));
-      } else if (name == "Delivery") {
-        params["today"] = Value::Int(rng.Uniform(1, 4));
-      } else if (name == "Audit") {
-        params["customer"] = Value::Str(kNames[rng.Uniform(0, 5)]);
-      }
-      return std::make_shared<TxnProgram>(type.make(params));
+    ParamList params;
+    if (name == "New_Order") {
+      params.emplace_back("customer", Value::Str(kNames[rng.Uniform(0, 5)]));
+      params.emplace_back("address", Value::Str("addr"));
+      params.emplace_back("order_info",
+                          Value::Int(rng.Uniform(1000, 99999999)));
+    } else if (name == "Delivery") {
+      params.emplace_back("today", Value::Int(rng.Uniform(1, 4)));
+    } else if (name == "Audit") {
+      params.emplace_back("customer", Value::Str(kNames[rng.Uniform(0, 5)]));
     }
-    return nullptr;
+    return params;
   };
 
   w.paper_levels = {

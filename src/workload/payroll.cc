@@ -98,17 +98,13 @@ Workload MakePayrollWorkload(int employees) {
     return Status::Ok();
   };
 
-  auto types = std::make_shared<std::vector<TransactionType>>(w.app.types);
-  w.instantiate = [types, employees](const std::string& name, Rng& rng)
-      -> std::shared_ptr<const TxnProgram> {
-    for (const TransactionType& type : *types) {
-      if (type.name != name) continue;
-      std::map<std::string, Value> params;
-      params["i"] = Value::Int(rng.Uniform(0, employees - 1));
-      if (name == "Hours") params["h"] = Value::Int(rng.Uniform(1, 8));
-      return std::make_shared<TxnProgram>(type.make(params));
+  w.draw_params = [employees](const std::string& name, Rng& rng) {
+    ParamList params;
+    params.emplace_back("i", Value::Int(rng.Uniform(0, employees - 1)));
+    if (name == "Hours") {
+      params.emplace_back("h", Value::Int(rng.Uniform(1, 8)));
     }
-    return nullptr;
+    return params;
   };
 
   w.paper_levels = {{"Hours", IsoLevel::kReadCommitted},

@@ -67,13 +67,7 @@ TransactionType MakeTNewOrder() {
   type.name = "TNewOrder";
   type.make = [](const std::map<std::string, Value>& params) {
     const int64_t d = params.at("d").AsInt();
-    // A bool from the generator; a nonzero int from a wire client, whose
-    // explicit parameters are all integers.
-    const auto flag = params.find("rollback");
-    const bool rollback =
-        flag != params.end() && (flag->second.is_bool()
-                                     ? flag->second.AsBool()
-                                     : flag->second.AsInt() != 0);
+    const bool rollback = params.at("rollback").AsBool();
     const std::string counter = NextOid(d);
     const std::string dytd = DistYtd(d);
     const Expr ii = And({StockNonNeg(), OrdersBound(d), RevenueConsistent(d)});
@@ -326,53 +320,47 @@ Workload MakeTpccWorkload(int warehouses, int districts, int customers,
     return Status::Ok();
   };
 
-  auto types = std::make_shared<std::vector<TransactionType>>(w.app.types);
-  w.instantiate = [types, warehouses, districts, customers, items](
-                      const std::string& name,
-                      Rng& rng) -> std::shared_ptr<const TxnProgram> {
-    for (const TransactionType& type : *types) {
-      if (type.name != name) continue;
-      // Home warehouse, then per-warehouse indices flattened to global.
-      const int64_t home = rng.Uniform(0, warehouses - 1);
-      auto remote_wh = [&]() -> int64_t {
-        if (warehouses < 2) return home;
-        const int64_t r = rng.Uniform(0, warehouses - 2);
-        return r >= home ? r + 1 : r;
-      };
-      std::map<std::string, Value> params;
-      if (name == "TNewOrder") {
-        params["d"] = Value::Int(home * districts +
-                                 rng.Uniform(0, districts - 1));
-        params["c"] = Value::Int(home * customers +
-                                 rng.Uniform(0, customers - 1));
-        params["item"] = Value::Int(rng.Uniform(0, items - 1));
-        // TPC-C 2.4.1.5 supplies ~1% of order *lines* remotely; with a
-        // single line per order we use 10% so remote-warehouse contention
-        // stays visible at bench scale.
-        params["supply_w"] =
-            Value::Int(rng.Bernoulli(0.10) ? remote_wh() : home);
-        params["qty"] = Value::Int(rng.Uniform(1, 10));
-        params["rollback"] = Value::Bool(rng.Bernoulli(0.01));
-      } else if (name == "TPayment") {
-        params["w"] = Value::Int(home);
-        // TPC-C 2.5.1.2: 15% of payments are for a remote customer.
-        const int64_t cust_wh = rng.Bernoulli(0.15) ? remote_wh() : home;
-        params["c"] = Value::Int(cust_wh * customers +
-                                 rng.Uniform(0, customers - 1));
-        params["amount"] = Value::Int(rng.Uniform(1, 20));
-      } else if (name == "TOrderStatus") {
-        params["c"] = Value::Int(home * customers +
-                                 rng.Uniform(0, customers - 1));
-      } else if (name == "TDelivery") {
-        params["d"] = Value::Int(home * districts +
-                                 rng.Uniform(0, districts - 1));
-      } else if (name == "TStockLevel") {
-        params["w"] = Value::Int(home);
-        params["threshold"] = Value::Int(rng.Uniform(5, 50));
-      }
-      return std::make_shared<TxnProgram>(type.make(params));
+  w.draw_params = [warehouses, districts, customers, items](
+                      const std::string& name, Rng& rng) {
+    // Home warehouse, then per-warehouse indices flattened to global.
+    const int64_t home = rng.Uniform(0, warehouses - 1);
+    auto remote_wh = [&]() -> int64_t {
+      if (warehouses < 2) return home;
+      const int64_t r = rng.Uniform(0, warehouses - 2);
+      return r >= home ? r + 1 : r;
+    };
+    ParamList params;
+    if (name == "TNewOrder") {
+      params.emplace_back(
+          "d", Value::Int(home * districts + rng.Uniform(0, districts - 1)));
+      params.emplace_back(
+          "c", Value::Int(home * customers + rng.Uniform(0, customers - 1)));
+      params.emplace_back("item", Value::Int(rng.Uniform(0, items - 1)));
+      // TPC-C 2.4.1.5 supplies ~1% of order *lines* remotely; with a single
+      // line per order we use 10% so remote-warehouse contention stays
+      // visible at bench scale.
+      params.emplace_back(
+          "supply_w", Value::Int(rng.Bernoulli(0.10) ? remote_wh() : home));
+      params.emplace_back("qty", Value::Int(rng.Uniform(1, 10)));
+      params.emplace_back("rollback", Value::Bool(rng.Bernoulli(0.01)));
+    } else if (name == "TPayment") {
+      params.emplace_back("w", Value::Int(home));
+      // TPC-C 2.5.1.2: 15% of payments are for a remote customer.
+      const int64_t cust_wh = rng.Bernoulli(0.15) ? remote_wh() : home;
+      params.emplace_back(
+          "c", Value::Int(cust_wh * customers + rng.Uniform(0, customers - 1)));
+      params.emplace_back("amount", Value::Int(rng.Uniform(1, 20)));
+    } else if (name == "TOrderStatus") {
+      params.emplace_back(
+          "c", Value::Int(home * customers + rng.Uniform(0, customers - 1)));
+    } else if (name == "TDelivery") {
+      params.emplace_back(
+          "d", Value::Int(home * districts + rng.Uniform(0, districts - 1)));
+    } else if (name == "TStockLevel") {
+      params.emplace_back("w", Value::Int(home));
+      params.emplace_back("threshold", Value::Int(rng.Uniform(5, 50)));
     }
-    return nullptr;
+    return params;
   };
 
   w.paper_levels = {{"TNewOrder", IsoLevel::kReadCommittedFcw},
@@ -386,14 +374,6 @@ Workload MakeTpccWorkload(int warehouses, int districts, int customers,
            {"TOrderStatus", 0.04},
            {"TDelivery", 0.04},
            {"TStockLevel", 0.04}};
-  // TPC-C 5.2.5.7 keying + mean think times, scaled 1000x down (spec
-  // seconds -> milliseconds, stored in µs) so closed-loop harnesses can
-  // honour the spec's pacing shape without multi-second test runs.
-  w.think_time_us = {{"TNewOrder", 30000},
-                     {"TPayment", 15000},
-                     {"TOrderStatus", 12000},
-                     {"TDelivery", 7000},
-                     {"TStockLevel", 7000}};
   return w;
 }
 

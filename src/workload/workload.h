@@ -14,6 +14,10 @@
 
 namespace semcor {
 
+/// A transaction request's parameters in the order given. A name may appear
+/// twice here; `Workload::Instantiate` rejects that.
+using ParamList = std::vector<std::pair<std::string, Value>>;
+
 /// A named, fully pinned transaction mix for the schedule explorer. Unlike
 /// the weighted random `mix`, every instance's parameters are fixed, so a
 /// mix names a *reproducible* concurrency scenario — including the corner
@@ -22,8 +26,8 @@ namespace semcor {
 /// small amounts essentially never produce).
 struct ExploreMix {
   struct Entry {
-    std::string type;                     ///< transaction type name
-    std::map<std::string, Value> params;  ///< pinned parameter values
+    std::string type;  ///< transaction type name
+    ParamList params;  ///< pinned parameter values
   };
   std::string name;
   std::string note;  ///< what scenario this mix probes
@@ -31,17 +35,18 @@ struct ExploreMix {
 };
 
 /// A paper workload: the statically analyzable Application plus the runtime
-/// harness pieces (initial database, random instance generation, and the
-/// level assignment the paper's analysis yields).
+/// harness pieces (initial database, random parameter draws, and the level
+/// assignment the paper's analysis yields). A type's signature is the names
+/// and value types of its first analysis scenario, the program the advisor
+/// checked; `Instantiate` is the only path from (type, params) to a program.
 struct Workload {
   Application app;
 
   /// Populates the store with the workload's schema and initial data.
   std::function<Status(Store*)> setup;
 
-  /// Draws a random concrete instance of the named transaction type.
-  std::function<std::shared_ptr<const TxnProgram>(const std::string& type,
-                                                  Rng&)> instantiate;
+  /// Draws random parameters for a known type (for `Instantiate` only).
+  std::function<ParamList(const std::string& type, Rng&)> draw_params;
 
   /// The isolation level the paper's analysis assigns to each type (used by
   /// benches as the "advisor-chosen" configuration and cross-checked
@@ -51,20 +56,22 @@ struct Workload {
   /// Default mix for the executor: type name -> weight.
   std::vector<std::pair<std::string, double>> mix;
 
-  /// Mean keying + think time per type in µs (empty for workloads without a
-  /// pacing spec). TPC-C populates it from the 5.2.5.7 table, scaled down;
-  /// closed-loop harnesses may honour it, open-loop ones pace by rate.
-  std::map<std::string, int64_t> think_time_us;
-
   /// Named pinned-parameter mixes for the schedule explorer (may be empty).
   std::vector<ExploreMix> explore_mixes;
 
-  /// Instantiates one type with explicit parameters (no randomness); used
-  /// by the explorer to materialize ExploreMix entries. Returns nullptr for
-  /// unknown type names.
-  std::shared_ptr<const TxnProgram> InstantiateWith(
-      const std::string& type, const std::map<std::string, Value>& params)
-      const;
+  /// Binds `params` to the type's signature and builds the program. Fails
+  /// with InvalidArgument for an unknown type and for a missing, unknown,
+  /// duplicated or mistyped parameter, naming it. An integer 0 or 1 binds
+  /// to a boolean parameter (wire parameters are integers).
+  Result<std::shared_ptr<const TxnProgram>> Instantiate(
+      const std::string& type, const ParamList& params) const;
+
+  /// As above, with the parameters from `draw_params`.
+  Result<std::shared_ptr<const TxnProgram>> Instantiate(const std::string& type,
+                                                        Rng& rng) const;
+
+  /// Draws a type name from `mix` by weight (the mix must be non-empty).
+  const std::string& DrawType(Rng& rng) const;
 
   /// Looks up an explore mix by name (nullptr if absent).
   const ExploreMix* FindExploreMix(const std::string& name) const;

@@ -93,8 +93,10 @@ TEST_F(ExecutorTest, HighContentionSerializableStaysCorrect) {
   ExecStats stats = executor.Run(
       [&](Rng& rng) {
         WorkItem item;
-        item.program = w.instantiate(
-            rng.Bernoulli(0.5) ? "Withdraw_sav" : "Deposit_ch", rng);
+        item.program =
+            w.Instantiate(rng.Bernoulli(0.5) ? "Withdraw_sav" : "Deposit_ch",
+                          rng)
+                .value();
         item.level = IsoLevel::kSerializable;
         return item;
       },
@@ -123,8 +125,10 @@ TEST_F(ExecutorTest, DeadlockStatsAgreeAcrossLayers) {
   ExecStats stats = executor.Run(
       [&](Rng& rng) {
         WorkItem item;
-        item.program = w.instantiate(
-            rng.Bernoulli(0.5) ? "Withdraw_sav" : "Deposit_ch", rng);
+        item.program =
+            w.Instantiate(rng.Bernoulli(0.5) ? "Withdraw_sav" : "Deposit_ch",
+                          rng)
+                .value();
         item.level = IsoLevel::kSerializable;
         return item;
       },

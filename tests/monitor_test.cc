@@ -6,15 +6,6 @@
 namespace semcor {
 namespace {
 
-std::shared_ptr<const TxnProgram> Program(const Workload& w,
-                                          const std::string& type,
-                                          std::map<std::string, Value> params) {
-  for (const TransactionType& t : w.app.types) {
-    if (t.name == type) return std::make_shared<TxnProgram>(t.make(params));
-  }
-  return nullptr;
-}
-
 class MonitorTest : public ::testing::Test {
  protected:
   MonitorTest() : mgr_(&store_, &locks_) {}
@@ -29,11 +20,13 @@ TEST_F(MonitorTest, NoInvalidationInSerialExecution) {
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_);
   InvalidationMonitor monitor(&store_, &driver);
-  driver.Add(Program(w, "Deposit_sav",
-                     {{"i", Value::Int(1)}, {"d", Value::Int(5)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(5)}})
+                 .value(),
              IsoLevel::kSerializable);
-  driver.Add(Program(w, "Withdraw_sav",
-                     {{"i", Value::Int(1)}, {"w", Value::Int(3)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(3)}})
+                 .value(),
              IsoLevel::kSerializable);
   while (!driver.run(0).Done()) driver.Step(0);
   while (!driver.run(1).Done()) driver.Step(1);
@@ -46,11 +39,13 @@ TEST_F(MonitorTest, WriteSkewInvalidatesReadStepAssertion) {
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_);
   InvalidationMonitor monitor(&store_, &driver);
-  driver.Add(Program(w, "Withdraw_sav",
-                     {{"i", Value::Int(1)}, {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
-  driver.Add(Program(w, "Withdraw_ch",
-                     {{"i", Value::Int(1)}, {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_ch",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
   driver.RunRoundRobin();
   // Some active assertion of one withdraw was invalidated by the other's
@@ -67,10 +62,11 @@ TEST_F(MonitorTest, DirtyHalfUpdateInvalidatesPrintRecordsInvariant) {
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_);
   InvalidationMonitor monitor(&store_, &driver);
-  driver.Add(Program(w, "Print_Records", {{"i", Value::Int(1)}}),
+  driver.Add(w.Instantiate("Print_Records", {{"i", Value::Int(1)}}).value(),
              IsoLevel::kReadUncommitted);
-  driver.Add(Program(w, "Hours",
-                     {{"i", Value::Int(1)}, {"h", Value::Int(4)}}),
+  driver.Add(w.Instantiate("Hours",
+                           {{"i", Value::Int(1)}, {"h", Value::Int(4)}})
+                 .value(),
              IsoLevel::kReadCommitted);
   // Hours' first update runs while Print_Records is at its I_sal control
   // point: the assertion flips to false (interference became invalidation).

@@ -676,34 +676,96 @@ TEST(ExecTest, OverAdmissionCapGetsLoneBusyThenRetryIsAdmitted) {
 }
 
 TEST(ExecTest, UnknownTypeIsBadRequestAndLeaksNoSlot) {
-  ServerOptions options = BankingOptions();
-  options.max_inflight_txns = 1;  // a leaked slot would BUSY the next EXEC
-  Server server(options);
-  ASSERT_TRUE(server.Start().ok());
-  Client client = MakeClient(server);
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.Hello().ok());
+  // An EXEC that does not bind to a type's signature (unknown type; a
+  // parameter missing, unknown, sent twice or out of range for a boolean)
+  // gets exactly one ERROR(kBadRequest) naming what is wrong. It leaks no
+  // admission slot, and the session goes on to commit its next transaction.
+  using WireParams = std::vector<std::pair<std::string, int64_t>>;
+  struct BadExec {
+    std::string type;
+    WireParams params;
+    std::string named;  ///< must appear in the error message
+  };
+  const WireParams new_order = {{"d", 0},        {"c", 0},   {"item", 0},
+                                {"supply_w", 0}, {"qty", 1}};
+  auto with_rollback = [&](int64_t flag) {
+    WireParams params = new_order;
+    params.emplace_back("rollback", flag);
+    return params;
+  };
+  const struct {
+    std::string workload;
+    std::vector<BadExec> bad;
+    std::string good_type;
+    WireParams good_params;
+  } servers[] = {
+      {"banking",
+       {{"NoSuchType", {}, "'NoSuchType'"},
+        {"Withdraw_sav", {{"w", 1}}, "missing parameter 'i'"},
+        {"Withdraw_sav", {{"i", 0}, {"w", 1}, {"zz", 1}}, "'zz'"},
+        {"Withdraw_sav",
+         {{"i", 0}, {"w", 1}, {"i", 1}},
+         "duplicated parameter 'i'"}},
+       "Deposit_ch",
+       {{"i", 0}, {"d", 1}}},
+      {"tpcc",
+       {{"TNewOrder", with_rollback(2), "parameter 'rollback'"},
+        {"TNewOrder", new_order, "missing parameter 'rollback'"}},
+       "TPayment",
+       {}},
+  };
+  for (const auto& config : servers) {
+    SCOPED_TRACE(config.workload);
+    ServerOptions options;
+    options.workload = config.workload;
+    options.workers = 2;
+    options.max_inflight_txns = 1;  // a leaked slot would BUSY the next EXEC
+    Server server(options);
+    ASSERT_TRUE(server.Start().ok());
+    Client client = MakeClient(server);
+    ASSERT_TRUE(client.Connect().ok());
+    ASSERT_TRUE(client.Hello().ok());
+    for (const BadExec& exec : config.bad) {
+      SCOPED_TRACE(exec.named);
+      ASSERT_TRUE(client
+                      .SendFrame(MsgType::kExec,
+                                 ExecPayload(exec.type, kNegotiateLevel,
+                                             exec.params))
+                      .ok());
+      const std::vector<Frame> answer = RecvExecAnswer(client);
+      ASSERT_EQ(answer.size(), 1u);
+      EXPECT_EQ(ErrorCodeOf(answer[0]),
+                static_cast<uint16_t>(WireError::kBadRequest));
+      Result<ErrorResp> err = ErrorResp::Decode(answer[0].payload);
+      ASSERT_TRUE(err.ok());
+      EXPECT_NE(err.value().message.find(exec.named), std::string::npos)
+          << err.value().message;
+      ExpectNothingPending(client);
+      EXPECT_EQ(server.Metrics().inflight, 0);
 
-  ASSERT_TRUE(client
-                  .SendFrame(MsgType::kExec,
-                             ExecPayload("NoSuchType", kNegotiateLevel, {}))
-                  .ok());
-  const std::vector<Frame> answer = RecvExecAnswer(client);
-  ASSERT_EQ(answer.size(), 1u);
-  EXPECT_EQ(ErrorCodeOf(answer[0]),
-            static_cast<uint16_t>(WireError::kBadRequest));
-  ExpectNothingPending(client);
-  EXPECT_EQ(server.Metrics().inflight, 0);
-
-  Result<TxnResult> bad = client.RunTxn("NoSuchType", kNegotiateLevel);
-  EXPECT_FALSE(bad.ok());  // surfaced as a server-error status
-  Result<TxnResult> good =
-      client.RunTxn("Deposit_ch", kNegotiateLevel, {{"i", 0}, {"d", 1}});
-  ASSERT_TRUE(good.ok()) << good.status().ToString();
-  EXPECT_TRUE(good.value().committed);
-  EXPECT_EQ(good.value().busy_retries, 0);
-  EXPECT_EQ(server.Metrics().inflight, 0);
-  server.Stop();
+      Result<TxnResult> bad = client.RunTxn(exec.type, kNegotiateLevel,
+                                            exec.params);
+      EXPECT_FALSE(bad.ok());  // surfaced as a server-error status
+      Result<TxnResult> good = client.RunTxn(
+          config.good_type, kNegotiateLevel, config.good_params);
+      ASSERT_TRUE(good.ok()) << good.status().ToString();
+      EXPECT_TRUE(good.value().committed) << good.value().detail;
+      EXPECT_EQ(good.value().busy_retries, 0);
+      EXPECT_EQ(server.Metrics().inflight, 0);
+    }
+    if (config.workload == "tpcc") {
+      // The wire's rollback=1 binds to the boolean and rolls the order back.
+      Result<TxnResult> rolled_back =
+          client.RunTxn("TNewOrder", kNegotiateLevel, with_rollback(1));
+      ASSERT_TRUE(rolled_back.ok()) << rolled_back.status().ToString();
+      EXPECT_FALSE(rolled_back.value().committed);
+      EXPECT_NE(rolled_back.value().detail.find("explicit abort"),
+                std::string::npos)
+          << rolled_back.value().detail;
+      EXPECT_EQ(server.Metrics().inflight, 0);
+    }
+    server.Stop();
+  }
 }
 
 TEST(ExecTest, ConflictingExecsWaitServerSide) {
@@ -1015,11 +1077,13 @@ TEST(ServerTest, SequentialCountersMatchInProcessDriver) {
   StepDriver driver(&mgr, &log);
   long committed = 0, aborted = 0;
   for (const auto& [type, params] : script) {
-    std::map<std::string, Value> value_params;
-    for (const auto& [key, v] : params) value_params[key] = Value::Int(v);
-    auto program = workload.InstantiateWith(type, value_params);
-    ASSERT_NE(program, nullptr);
-    const int idx = driver.Add(program, IsoLevel::kRepeatableRead);
+    ParamList value_params;
+    for (const auto& [key, v] : params) {
+      value_params.emplace_back(key, Value::Int(v));
+    }
+    auto program = workload.Instantiate(type, value_params);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    const int idx = driver.Add(program.value(), IsoLevel::kRepeatableRead);
     while (!driver.run(idx).Done()) driver.Step(idx);
     (driver.run(idx).outcome() == StepOutcome::kCommitted ? committed
                                                           : aborted)++;

@@ -7,15 +7,6 @@
 namespace semcor {
 namespace {
 
-std::shared_ptr<const TxnProgram> Program(const Workload& w,
-                                          const std::string& type,
-                                          std::map<std::string, Value> params) {
-  for (const TransactionType& t : w.app.types) {
-    if (t.name == type) return std::make_shared<TxnProgram>(t.make(params));
-  }
-  return nullptr;
-}
-
 class OracleTest : public ::testing::Test {
  protected:
   OracleTest() : mgr_(&store_, &locks_) {}
@@ -31,11 +22,13 @@ TEST_F(OracleTest, SerialScheduleIsSemanticCorrect) {
   ASSERT_TRUE(w.setup(&store_).ok());
   MapEvalContext initial = store_.SnapshotToMap();
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Deposit_sav",
-                     {{"i", Value::Int(1)}, {"d", Value::Int(5)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(5)}})
+                 .value(),
              IsoLevel::kSerializable);
-  driver.Add(Program(w, "Withdraw_sav",
-                     {{"i", Value::Int(1)}, {"w", Value::Int(3)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(3)}})
+                 .value(),
              IsoLevel::kSerializable);
   while (!driver.run(0).Done()) driver.Step(0);
   while (!driver.run(1).Done()) driver.Step(1);
@@ -49,11 +42,13 @@ TEST_F(OracleTest, WriteSkewFlagged) {
   ASSERT_TRUE(w.setup(&store_).ok());
   MapEvalContext initial = store_.SnapshotToMap();
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Withdraw_sav",
-                     {{"i", Value::Int(1)}, {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
-  driver.Add(Program(w, "Withdraw_ch",
-                     {{"i", Value::Int(1)}, {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_ch",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
   driver.RunRoundRobin();
   OracleReport report =
@@ -70,11 +65,13 @@ TEST_F(OracleTest, LostUpdateFlaggedBySerialReplayOnly) {
   ASSERT_TRUE(w.setup(&store_).ok());
   MapEvalContext initial = store_.SnapshotToMap();
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Deposit_sav",
-                     {{"i", Value::Int(1)}, {"d", Value::Int(5)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(5)}})
+                 .value(),
              IsoLevel::kReadCommitted);
-  driver.Add(Program(w, "Deposit_sav",
-                     {{"i", Value::Int(1)}, {"d", Value::Int(7)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(7)}})
+                 .value(),
              IsoLevel::kReadCommitted);
   driver.RunSchedule({0, 1});
   driver.RunRoundRobin();
@@ -89,11 +86,13 @@ TEST_F(OracleTest, AbortedTransactionsExcludedFromReplay) {
   ASSERT_TRUE(w.setup(&store_).ok());
   MapEvalContext initial = store_.SnapshotToMap();
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Withdraw_sav",
-                     {{"i", Value::Int(1)}, {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
-  driver.Add(Program(w, "Withdraw_sav",
-                     {{"i", Value::Int(1)}, {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
   driver.RunRoundRobin();  // FCW aborts one
   ASSERT_EQ(log_.size(), 1u);
@@ -107,11 +106,13 @@ TEST_F(OracleTest, RelationalTablesCompared) {
   ASSERT_TRUE(w.setup(&store_).ok());
   MapEvalContext initial = store_.SnapshotToMap();
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "New_Order", {{"customer", Value::Str("c")},
-                                      {"address", Value::Str("addr")},
-                                      {"order_info", Value::Int(300)}}),
+  driver.Add(w.Instantiate("New_Order",
+                           {{"customer", Value::Str("c")},
+                            {"address", Value::Str("addr")},
+                            {"order_info", Value::Int(300)}})
+                 .value(),
              IsoLevel::kReadCommitted);
-  driver.Add(Program(w, "Delivery", {{"today", Value::Int(2)}}),
+  driver.Add(w.Instantiate("Delivery", {{"today", Value::Int(2)}}).value(),
              IsoLevel::kRepeatableRead);
   while (!driver.run(0).Done()) driver.Step(0);
   while (!driver.run(1).Done()) driver.Step(1);
@@ -127,9 +128,11 @@ TEST_F(OracleTest, SerialReplayDetectsTableDivergence) {
   ASSERT_TRUE(w.setup(&store_).ok());
   MapEvalContext initial = store_.SnapshotToMap();
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "New_Order", {{"customer", Value::Str("c")},
-                                      {"address", Value::Str("addr")},
-                                      {"order_info", Value::Int(300)}}),
+  driver.Add(w.Instantiate("New_Order",
+                           {{"customer", Value::Str("c")},
+                            {"address", Value::Str("addr")},
+                            {"order_info", Value::Int(300)}})
+                 .value(),
              IsoLevel::kReadCommitted);
   while (!driver.run(0).Done()) driver.Step(0);
   // Sneak in an extra committed row outside any logged transaction.

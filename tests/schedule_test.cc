@@ -8,17 +8,6 @@
 namespace semcor {
 namespace {
 
-std::shared_ptr<const TxnProgram> Program(const Workload& w,
-                                          const std::string& type,
-                                          std::map<std::string, Value> params) {
-  for (const TransactionType& t : w.app.types) {
-    if (t.name == type) {
-      return std::make_shared<TxnProgram>(t.make(params));
-    }
-  }
-  return nullptr;
-}
-
 class ScheduleTest : public ::testing::Test {
  protected:
   ScheduleTest() : mgr_(&store_, &locks_) {}
@@ -33,11 +22,13 @@ TEST_F(ScheduleTest, SerialBankingExecution) {
   Workload w = MakeBankingWorkload();
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Deposit_sav", {{"i", Value::Int(1)},
-                                        {"d", Value::Int(5)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(5)}})
+                 .value(),
              IsoLevel::kSerializable);
-  driver.Add(Program(w, "Withdraw_sav", {{"i", Value::Int(1)},
-                                         {"w", Value::Int(3)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(3)}})
+                 .value(),
              IsoLevel::kSerializable);
   // Run txn 0 fully, then txn 1.
   while (!driver.run(0).Done()) driver.Step(0);
@@ -55,11 +46,13 @@ TEST_F(ScheduleTest, WriteSkewUnderSnapshot) {
   StepDriver driver(&mgr_, &log_);
   // Both withdraw 15 from account 1 (sav=10, ch=10: either alone is fine,
   // both violate sav+ch >= 0).
-  driver.Add(Program(w, "Withdraw_sav", {{"i", Value::Int(1)},
-                                         {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
-  driver.Add(Program(w, "Withdraw_ch", {{"i", Value::Int(1)},
-                                        {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_ch",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
   driver.RunRoundRobin();
   EXPECT_EQ(driver.run(0).outcome(), StepOutcome::kCommitted);
@@ -73,11 +66,13 @@ TEST_F(ScheduleTest, WriteSkewPreventedAtSerializable) {
   Workload w = MakeBankingWorkload();
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Withdraw_sav", {{"i", Value::Int(1)},
-                                         {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSerializable);
-  driver.Add(Program(w, "Withdraw_ch", {{"i", Value::Int(1)},
-                                        {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_ch",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSerializable);
   driver.RunRoundRobin();
   const int64_t sav = store_.ReadItemCommitted("acct_sav[1].bal").value().AsInt();
@@ -89,11 +84,13 @@ TEST_F(ScheduleTest, SameItemConflictResolvedByFcwUnderSnapshot) {
   Workload w = MakeBankingWorkload();
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Withdraw_sav", {{"i", Value::Int(1)},
-                                         {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
-  driver.Add(Program(w, "Withdraw_sav", {{"i", Value::Int(1)},
-                                         {"w", Value::Int(15)}}),
+  driver.Add(w.Instantiate("Withdraw_sav",
+                           {{"i", Value::Int(1)}, {"w", Value::Int(15)}})
+                 .value(),
              IsoLevel::kSnapshot);
   driver.RunRoundRobin();
   // First-committer-wins: exactly one commits.
@@ -109,9 +106,11 @@ TEST_F(ScheduleTest, DirtyReadOfHalfUpdatedRecordAtReadUncommitted) {
   Workload w = MakePayrollWorkload();
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Hours", {{"i", Value::Int(1)}, {"h", Value::Int(4)}}),
+  driver.Add(w.Instantiate("Hours",
+                           {{"i", Value::Int(1)}, {"h", Value::Int(4)}})
+                 .value(),
              IsoLevel::kReadCommitted);
-  driver.Add(Program(w, "Print_Records", {{"i", Value::Int(1)}}),
+  driver.Add(w.Instantiate("Print_Records", {{"i", Value::Int(1)}}).value(),
              IsoLevel::kReadUncommitted);
   // Hours runs its first update, then Print reads between the two updates.
   ASSERT_EQ(driver.Step(0), StepOutcome::kRunning);  // update num_hrs
@@ -126,9 +125,11 @@ TEST_F(ScheduleTest, ReadCommittedSeesConsistentRecord) {
   Workload w = MakePayrollWorkload();
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Hours", {{"i", Value::Int(1)}, {"h", Value::Int(4)}}),
+  driver.Add(w.Instantiate("Hours",
+                           {{"i", Value::Int(1)}, {"h", Value::Int(4)}})
+                 .value(),
              IsoLevel::kReadCommitted);
-  driver.Add(Program(w, "Print_Records", {{"i", Value::Int(1)}}),
+  driver.Add(w.Instantiate("Print_Records", {{"i", Value::Int(1)}}).value(),
              IsoLevel::kReadCommitted);
   ASSERT_EQ(driver.Step(0), StepOutcome::kRunning);  // update num_hrs (X lock)
   // Print's select blocks on the row X lock.
@@ -144,11 +145,13 @@ TEST_F(ScheduleTest, LostUpdateAtReadCommitted) {
   Workload w = MakeBankingWorkload();
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Deposit_sav", {{"i", Value::Int(1)},
-                                        {"d", Value::Int(5)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(5)}})
+                 .value(),
              IsoLevel::kReadCommitted);
-  driver.Add(Program(w, "Deposit_sav", {{"i", Value::Int(1)},
-                                        {"d", Value::Int(7)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(7)}})
+                 .value(),
              IsoLevel::kReadCommitted);
   // Interleave: both read, then both write.
   driver.RunSchedule({0, 1});  // both read 10
@@ -162,11 +165,13 @@ TEST_F(ScheduleTest, LostUpdatePreventedByFcw) {
   Workload w = MakeBankingWorkload();
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Deposit_sav", {{"i", Value::Int(1)},
-                                        {"d", Value::Int(5)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(5)}})
+                 .value(),
              IsoLevel::kReadCommittedFcw);
-  driver.Add(Program(w, "Deposit_sav", {{"i", Value::Int(1)},
-                                        {"d", Value::Int(7)}}),
+  driver.Add(w.Instantiate("Deposit_sav",
+                           {{"i", Value::Int(1)}, {"d", Value::Int(7)}})
+                 .value(),
              IsoLevel::kReadCommittedFcw);
   driver.RunSchedule({0, 1});  // both read 10
   driver.RunRoundRobin();
@@ -202,12 +207,14 @@ TEST_F(ScheduleTest, NewOrderLostCounterUpdateAtReadCommitted) {
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
   auto params = [](int info) {
-    return std::map<std::string, Value>{{"customer", Value::Str("a")},
-                                        {"address", Value::Str("addr")},
-                                        {"order_info", Value::Int(info)}};
+    return ParamList{{"customer", Value::Str("a")},
+                     {"address", Value::Str("addr")},
+                     {"order_info", Value::Int(info)}};
   };
-  driver.Add(Program(w, "New_Order", params(101)), IsoLevel::kReadCommitted);
-  driver.Add(Program(w, "New_Order", params(102)), IsoLevel::kReadCommitted);
+  driver.Add(w.Instantiate("New_Order", params(101)).value(),
+             IsoLevel::kReadCommitted);
+  driver.Add(w.Instantiate("New_Order", params(102)).value(),
+             IsoLevel::kReadCommitted);
   // Both read MAXDATE = 5 before either writes it.
   driver.RunSchedule({0, 1});
   driver.RunRoundRobin();
@@ -222,12 +229,14 @@ TEST_F(ScheduleTest, NewOrderCounterRaceAbortedAtFcw) {
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
   auto params = [](int info) {
-    return std::map<std::string, Value>{{"customer", Value::Str("a")},
-                                        {"address", Value::Str("addr")},
-                                        {"order_info", Value::Int(info)}};
+    return ParamList{{"customer", Value::Str("a")},
+                     {"address", Value::Str("addr")},
+                     {"order_info", Value::Int(info)}};
   };
-  driver.Add(Program(w, "New_Order", params(101)), IsoLevel::kReadCommittedFcw);
-  driver.Add(Program(w, "New_Order", params(102)), IsoLevel::kReadCommittedFcw);
+  driver.Add(w.Instantiate("New_Order", params(101)).value(),
+             IsoLevel::kReadCommittedFcw);
+  driver.Add(w.Instantiate("New_Order", params(102)).value(),
+             IsoLevel::kReadCommittedFcw);
   driver.RunSchedule({0, 1});  // both read MAXDATE = 5
   driver.RunRoundRobin();
   const int committed = (driver.run(0).outcome() == StepOutcome::kCommitted) +
@@ -241,11 +250,13 @@ TEST_F(ScheduleTest, AuditPhantomAtRepeatableRead) {
   Workload w = MakeOrdersWorkload(false);
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Audit", {{"customer", Value::Str("a")}}),
+  driver.Add(w.Instantiate("Audit", {{"customer", Value::Str("a")}}).value(),
              IsoLevel::kRepeatableRead);
-  driver.Add(Program(w, "New_Order", {{"customer", Value::Str("a")},
-                                      {"address", Value::Str("addr")},
-                                      {"order_info", Value::Int(200)}}),
+  driver.Add(w.Instantiate("New_Order",
+                           {{"customer", Value::Str("a")},
+                            {"address", Value::Str("addr")},
+                            {"order_info", Value::Int(200)}})
+                 .value(),
              IsoLevel::kReadCommitted);
   // Audit counts orders of a (3), then New_Order inserts a phantom order
   // and bumps CUST.num_orders to 4, then Audit reads num_orders.
@@ -263,11 +274,13 @@ TEST_F(ScheduleTest, AuditProtectedAtSerializable) {
   Workload w = MakeOrdersWorkload(false);
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Audit", {{"customer", Value::Str("a")}}),
+  driver.Add(w.Instantiate("Audit", {{"customer", Value::Str("a")}}).value(),
              IsoLevel::kSerializable);
-  driver.Add(Program(w, "New_Order", {{"customer", Value::Str("a")},
-                                      {"address", Value::Str("addr")},
-                                      {"order_info", Value::Int(200)}}),
+  driver.Add(w.Instantiate("New_Order",
+                           {{"customer", Value::Str("a")},
+                            {"address", Value::Str("addr")},
+                            {"order_info", Value::Int(200)}})
+                 .value(),
              IsoLevel::kReadCommitted);
   ASSERT_EQ(driver.Step(0), StepOutcome::kRunning);  // count1 with pred lock
   driver.RunRoundRobin();
@@ -282,9 +295,13 @@ TEST_F(ScheduleTest, BlockedUpdateRetryDoesNotDoubleApply) {
   Workload w = MakePayrollWorkload();
   ASSERT_TRUE(w.setup(&store_).ok());
   StepDriver driver(&mgr_, &log_);
-  driver.Add(Program(w, "Hours", {{"i", Value::Int(1)}, {"h", Value::Int(4)}}),
+  driver.Add(w.Instantiate("Hours",
+                           {{"i", Value::Int(1)}, {"h", Value::Int(4)}})
+                 .value(),
              IsoLevel::kReadCommitted);
-  driver.Add(Program(w, "Hours", {{"i", Value::Int(1)}, {"h", Value::Int(2)}}),
+  driver.Add(w.Instantiate("Hours",
+                           {{"i", Value::Int(1)}, {"h", Value::Int(2)}})
+                 .value(),
              IsoLevel::kReadCommitted);
   // T0 takes the row X lock; T1 blocks and retries several times while T0
   // finishes; then T1 runs.

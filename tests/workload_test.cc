@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/str_util.h"
 #include "sem/rt/oracle.h"
 #include "workload/workload.h"
 
@@ -33,21 +34,54 @@ TEST_P(AllWorkloadsTest, InstantiateProducesRunnablePrograms) {
   Workload w = Make();
   Rng rng(7);
   for (const TransactionType& type : w.app.types) {
-    auto program = w.instantiate(type.name, rng);
-    ASSERT_NE(program, nullptr) << type.name;
-    EXPECT_EQ(program->type_name, type.name);
+    auto program = w.Instantiate(type.name, rng);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    EXPECT_EQ(program.value()->type_name, type.name);
   }
-  EXPECT_EQ(w.instantiate("NoSuchType", rng), nullptr);
+  EXPECT_FALSE(w.Instantiate("NoSuchType", rng).ok());
 }
 
 TEST_P(AllWorkloadsTest, MixCoversKnownTypes) {
   Workload w = Make();
   ASSERT_FALSE(w.mix.empty());
+  Rng rng(7);
   for (const auto& [type, weight] : w.mix) {
     EXPECT_GT(weight, 0.0);
-    bool found = false;
-    for (const TransactionType& t : w.app.types) found |= t.name == type;
-    EXPECT_TRUE(found) << type;
+    EXPECT_TRUE(w.Instantiate(type, rng).ok()) << type;
+  }
+}
+
+TEST_P(AllWorkloadsTest, ScenariosShareOneSignatureAndEveryRequestBinds) {
+  Workload w = Make();
+  // A type's analysis scenarios all name the same parameters with the same
+  // value types; that is the signature Instantiate checks requests against.
+  for (const TransactionType& type : w.app.types) {
+    ASSERT_FALSE(type.analysis_scenarios.empty()) << type.name;
+    const std::map<std::string, Value>& signature =
+        type.analysis_scenarios.front();
+    for (const auto& scenario : type.analysis_scenarios) {
+      EXPECT_EQ(scenario.size(), signature.size()) << type.name;
+      for (const auto& [name, value] : scenario) {
+        const auto slot = signature.find(name);
+        ASSERT_NE(slot, signature.end()) << type.name << "." << name;
+        EXPECT_EQ(slot->second.type(), value.type())
+            << type.name << "." << name;
+      }
+    }
+  }
+  for (const ExploreMix& mix : w.explore_mixes) {
+    for (const ExploreMix::Entry& entry : mix.txns) {
+      auto program = w.Instantiate(entry.type, entry.params);
+      EXPECT_TRUE(program.ok())
+          << mix.name << ": " << program.status().ToString();
+    }
+  }
+  Rng rng(5);
+  for (const auto& [type, weight] : w.mix) {
+    for (int i = 0; i < 1000; ++i) {
+      auto program = w.Instantiate(type, rng);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+    }
   }
 }
 
@@ -140,15 +174,15 @@ TEST(TpccWorkloadTest, ForcedRollbackUndoesTheWholeOrder) {
   ASSERT_TRUE(w.setup(&store).ok());
   LockManager locks;
   TxnManager mgr(&store, &locks);
-  auto program = w.InstantiateWith(
+  auto program = w.Instantiate(
       "TNewOrder", {{"d", Value::Int(0)},
                     {"c", Value::Int(0)},
                     {"item", Value::Int(0)},
                     {"supply_w", Value::Int(0)},
                     {"qty", Value::Int(2)},
                     {"rollback", Value::Bool(true)}});
-  ASSERT_NE(program, nullptr);
-  ProgramRun run(&mgr, program, IsoLevel::kSerializable);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ProgramRun run(&mgr, program.value(), IsoLevel::kSerializable);
   EXPECT_EQ(run.RunToCompletion(), StepOutcome::kAborted);
   EXPECT_TRUE(run.UserAborted());
   // Everything the order entry touched is rolled back: the allocated id,
@@ -164,15 +198,14 @@ TEST(TpccWorkloadTest, ForcedRollbackUndoesTheWholeOrder) {
   EXPECT_TRUE(clean.value());
 }
 
-TEST(TpccWorkloadTest, ReadOnlyTypesDeclareItAndThinkTimesCoverTheMix) {
+TEST(TpccWorkloadTest, ReadOnlyTypesDeclareIt) {
   Workload w = MakeTpccWorkload();
   Rng rng(11);
   for (const auto& [type, weight] : w.mix) {
-    auto program = w.instantiate(type, rng);
-    ASSERT_NE(program, nullptr) << type;
+    auto program = w.Instantiate(type, rng);
+    ASSERT_TRUE(program.ok()) << type;
     const bool expect_ro = type == "TOrderStatus" || type == "TStockLevel";
-    EXPECT_EQ(program->declared_read_only, expect_ro) << type;
-    EXPECT_TRUE(w.think_time_us.count(type)) << type;
+    EXPECT_EQ(program.value()->declared_read_only, expect_ro) << type;
   }
 }
 
@@ -189,6 +222,172 @@ TEST(WorkloadTest, DrawFromMixRespectsLevels) {
       EXPECT_EQ(item.level, IsoLevel::kReadCommitted);
     }
   }
+}
+
+
+TEST(WorkloadTest, InstantiateBindsOnlyTheSignature) {
+  Workload w = MakeTpccWorkload();
+  const ParamList good = {{"d", Value::Int(0)},    {"c", Value::Int(0)},
+                          {"item", Value::Int(0)}, {"supply_w", Value::Int(0)},
+                          {"qty", Value::Int(2)},  {"rollback", Value::Int(1)}};
+  // A wire-style 0/1 binds to the boolean `rollback`.
+  auto program = w.Instantiate("TNewOrder", good);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_EQ(program.value()->params.at("rollback"), Value::Bool(true));
+
+  auto rejects = [&](const ParamList& params, const std::string& why) {
+    auto bad = w.Instantiate("TNewOrder", params);
+    ASSERT_FALSE(bad.ok()) << why;
+    EXPECT_EQ(bad.status().code(), Code::kInvalidArgument);
+    EXPECT_NE(bad.status().message().find(why), std::string::npos)
+        << bad.status().message();
+  };
+  ParamList missing(good.begin(), good.end() - 1);
+  rejects(missing, "missing parameter 'rollback'");
+  ParamList extra = good;
+  extra.emplace_back("zz", Value::Int(1));
+  rejects(extra, "unknown parameter 'zz'");
+  ParamList twice = good;
+  twice.emplace_back("qty", Value::Int(3));
+  rejects(twice, "duplicated parameter 'qty'");
+  ParamList two = good;
+  two.back().second = Value::Int(2);
+  rejects(two, "mistyped parameter 'rollback' (want bool");
+  ParamList text = good;
+  text.front().second = Value::Str("0");
+  rejects(text, "mistyped parameter 'd' (want int");
+  // A string parameter takes no integer, so the wire cannot send one.
+  auto audit =
+      MakeOrdersWorkload().Instantiate("Audit", {{"customer", Value::Int(1)}});
+  EXPECT_FALSE(audit.ok());
+}
+
+// The first 50 (type, params) draws at seed 42, captured from the code
+// before `DrawType` and `draw_params` existed: the random stream, and with
+// it every seeded run, is unchanged.
+constexpr const char* kBankingDraws = R"(Deposit_sav d=4 i=2
+Withdraw_sav i=3 w=1
+Withdraw_ch i=1 w=2
+Withdraw_ch i=0 w=3
+Withdraw_ch i=2 w=5
+Deposit_ch d=3 i=3
+Withdraw_sav i=0 w=4
+Withdraw_sav i=1 w=1
+Withdraw_sav i=0 w=3
+Withdraw_ch i=3 w=1
+Deposit_sav d=4 i=1
+Deposit_sav d=5 i=0
+Deposit_sav d=2 i=1
+Withdraw_sav i=2 w=3
+Withdraw_ch i=1 w=2
+Withdraw_ch i=1 w=2
+Withdraw_ch i=1 w=3
+Withdraw_sav i=0 w=5
+Withdraw_ch i=1 w=5
+Withdraw_ch i=2 w=3
+Deposit_ch d=5 i=1
+Withdraw_ch i=1 w=2
+Withdraw_sav i=2 w=2
+Deposit_sav d=4 i=1
+Deposit_sav d=5 i=2
+Deposit_sav d=4 i=2
+Withdraw_ch i=3 w=2
+Withdraw_sav i=2 w=3
+Withdraw_ch i=0 w=4
+Withdraw_ch i=2 w=4
+Withdraw_sav i=1 w=4
+Withdraw_ch i=1 w=5
+Deposit_sav d=3 i=0
+Withdraw_sav i=3 w=2
+Withdraw_sav i=3 w=3
+Withdraw_sav i=2 w=1
+Deposit_sav d=2 i=2
+Deposit_sav d=5 i=3
+Withdraw_ch i=1 w=5
+Deposit_sav d=5 i=2
+Withdraw_sav i=1 w=2
+Withdraw_ch i=0 w=5
+Withdraw_ch i=1 w=5
+Withdraw_ch i=0 w=5
+Deposit_sav d=5 i=3
+Withdraw_sav i=2 w=1
+Withdraw_sav i=2 w=3
+Withdraw_sav i=1 w=4
+Withdraw_sav i=2 w=1
+Withdraw_ch i=0 w=3
+)";
+constexpr const char* kTpccDraws = R"(TPayment amount=19 c=9 w=1
+TNewOrder c=10 d=2 item=6 qty=7 rollback=false supply_w=0
+TPayment amount=1 c=11 w=1
+TNewOrder c=11 d=2 item=1 qty=1 rollback=false supply_w=1
+TNewOrder c=13 d=2 item=5 qty=9 rollback=false supply_w=1
+TDelivery d=2
+TNewOrder c=3 d=1 item=8 qty=3 rollback=false supply_w=0
+TPayment amount=9 c=3 w=0
+TNewOrder c=3 d=1 item=7 qty=6 rollback=false supply_w=0
+TPayment amount=10 c=14 w=1
+TNewOrder c=4 d=0 item=5 qty=4 rollback=false supply_w=0
+TPayment amount=14 c=14 w=1
+TPayment amount=6 c=2 w=0
+TPayment amount=13 c=9 w=1
+TPayment amount=8 c=8 w=1
+TPayment amount=15 c=15 w=1
+TNewOrder c=14 d=2 item=3 qty=5 rollback=false supply_w=0
+TPayment amount=8 c=4 w=0
+TPayment amount=8 c=11 w=1
+TPayment amount=2 c=15 w=1
+TNewOrder c=1 d=0 item=13 qty=3 rollback=false supply_w=0
+TNewOrder c=6 d=1 item=14 qty=1 rollback=false supply_w=0
+TNewOrder c=3 d=1 item=5 qty=8 rollback=false supply_w=0
+TPayment amount=9 c=0 w=0
+TNewOrder c=13 d=3 item=8 qty=4 rollback=false supply_w=1
+TNewOrder c=0 d=1 item=3 qty=5 rollback=false supply_w=0
+TPayment amount=10 c=11 w=1
+TNewOrder c=2 d=0 item=7 qty=1 rollback=false supply_w=0
+TNewOrder c=9 d=2 item=0 qty=3 rollback=false supply_w=1
+TOrderStatus c=11
+TNewOrder c=10 d=3 item=1 qty=6 rollback=false supply_w=1
+TOrderStatus c=0
+TNewOrder c=14 d=2 item=6 qty=4 rollback=false supply_w=1
+TNewOrder c=3 d=1 item=3 qty=2 rollback=false supply_w=0
+TNewOrder c=3 d=1 item=6 qty=2 rollback=false supply_w=0
+TNewOrder c=6 d=0 item=10 qty=10 rollback=false supply_w=0
+TPayment amount=19 c=13 w=1
+TNewOrder c=5 d=1 item=1 qty=7 rollback=false supply_w=0
+TNewOrder c=11 d=2 item=6 qty=10 rollback=false supply_w=1
+TNewOrder c=2 d=0 item=0 qty=1 rollback=false supply_w=0
+TPayment amount=4 c=12 w=0
+TPayment amount=2 c=8 w=1
+TPayment amount=15 c=9 w=1
+TNewOrder c=15 d=3 item=2 qty=10 rollback=false supply_w=1
+TPayment amount=4 c=0 w=0
+TPayment amount=10 c=7 w=0
+TNewOrder c=11 d=3 item=2 qty=2 rollback=false supply_w=1
+TNewOrder c=3 d=0 item=9 qty=7 rollback=false supply_w=0
+TOrderStatus c=13
+TNewOrder c=7 d=0 item=1 qty=10 rollback=false supply_w=0
+)";
+
+std::string FirstDraws(const Workload& w) {
+  Rng rng(42);
+  std::string out;
+  for (int i = 0; i < 50; ++i) {
+    const std::string& type = w.DrawType(rng);
+    auto program = w.Instantiate(type, rng);
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    if (!program.ok()) break;
+    out += type;
+    for (const auto& [name, value] : program.value()->params) {
+      out += StrCat(" ", name, "=", value.ToString());
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(WorkloadTest, SeededDrawsMatchTheGolden) {
+  EXPECT_EQ(FirstDraws(MakeBankingWorkload()), kBankingDraws);
+  EXPECT_EQ(FirstDraws(MakeTpccWorkload()), kTpccDraws);
 }
 
 }  // namespace
