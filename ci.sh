@@ -122,16 +122,18 @@ wait "$serverd_pid"
 rm -f semcor_serverd.port
 rm -rf ci_wal_e10
 test -s BENCH_E10.json
-# One round trip per transaction: every inbound frame is an EXEC, a re-sent
-# EXEC after BUSY, or a session frame — exactly. A regression to more than
-# one request per transaction attempt fails here.
+# One round trip per transaction: every inbound frame is an EXEC or a
+# session frame — exactly. A closed-loop client never has a second frame
+# queued behind its EXEC, so no BUSY comes back and nothing is re-sent. A
+# regression to more than one request per transaction fails here.
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
 r = json.load(open("BENCH_E10.json"))
 txns = r["committed"] + r["aborted"]
-expected = txns + r["busy_retries"] + r["client_session_frames"]
+expected = txns + r["client_session_frames"]
 assert txns > 0, r
+assert r["busy_retries"] == 0, r
 assert r["server_frames_in"] == expected, (r["server_frames_in"], expected, r)
 # Server latency gauges come from its histogram: present and ordered.
 assert 0 < r["p50_us"] <= r["p95_us"] <= r["p99_us"], r
@@ -156,12 +158,27 @@ timeout 60 ./build/examples/semcor_bench_client \
 wait "$serverd_pid"
 rm -f semcor_serverd.port
 test -s BENCH_E10RR.json
+# The worker pool is the only in-flight bound: each EXEC runs start to
+# finish on one of the 4 workers, however many sessions wait.
+if command -v python3 >/dev/null 2>&1; then
+  python3 - <<'EOF'
+import json
+r = json.load(open("BENCH_E10RR.json"))
+assert 1 <= r["server_inflight_peak"] <= 4, r
+EOF
+fi
 
 # Numeric daemon flags are range-checked before any narrowing cast: a
 # negative group-commit epoch must be a usage error (exit 2), not a wrapped
 # 71-minute epoch whose first commit never acks.
 serverd_status=0
 ./build/examples/semcor_serverd --group-commit-us=-1 >/dev/null 2>&1 \
+    || serverd_status=$?
+test "$serverd_status" -eq 2
+# The admission cap is gone (--workers bounds what is in flight), and so is
+# its flag: naming it is a usage error.
+serverd_status=0
+./build/examples/semcor_serverd --max-inflight=4 >/dev/null 2>&1 \
     || serverd_status=$?
 test "$serverd_status" -eq 2
 

@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   std::string port_file;
   int port = 0;
   int duration_s = 0;
-  int64_t max_inflight = options.max_inflight_txns;
   int64_t queue_limit = static_cast<int64_t>(options.session_queue_limit);
   int64_t lock_shards = 0;
   int64_t group_commit_us = options.group_commit_us;
@@ -79,9 +78,8 @@ int main(int argc, char** argv) {
   flags.Int("tpcc-items", &options.tpcc_items, "tpcc: items in the catalog");
   flags.Int("port", &port, "TCP port to bind on 127.0.0.1 (0 = ephemeral)");
   flags.Int("workers", &options.workers,
-            "worker threads, each running one transaction at a time (1..1024)");
-  flags.I64("max-inflight", &max_inflight,
-            "admission control: max concurrent transactions");
+            "worker threads, each running one transaction at a time; also "
+            "the bound on transactions in flight (1..1024)");
   flags.I64("queue-limit", &queue_limit,
             "per-session pending-request cap before BUSY");
   flags.U64("seed", &options.seed, "seed for server-side draws");
@@ -105,12 +103,11 @@ int main(int argc, char** argv) {
                    "0 = off (us/ms/s suffix, bare = ms)");
   flags.DurationUs("drain-timeout", &options.drain_timeout_us,
                    "SIGTERM drain: wait this long for in-flight transactions "
-                   "before forcing stop");
+                   "before forcing stop, 0 = never force");
   if (!flags.Parse(argc, argv)) return 2;
   if (flags.help_requested() || flags.version_requested()) return 0;
   if (!InRange("port", port, 0, 65535) ||
       !InRange("workers", options.workers, 1, 1024) ||
-      !InRange("max-inflight", max_inflight, 1, INT_MAX) ||
       !InRange("queue-limit", queue_limit, 1, INT_MAX) ||
       !InRange("lock-shards", lock_shards, 0,
                static_cast<int64_t>(semcor::LockManager::kMaxShards)) ||
@@ -119,7 +116,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   options.port = static_cast<uint16_t>(port);
-  options.max_inflight_txns = static_cast<int>(max_inflight);
   options.session_queue_limit = static_cast<size_t>(queue_limit);
   options.lock_shards = static_cast<size_t>(lock_shards);
   options.group_commit_us = static_cast<uint32_t>(group_commit_us);
@@ -165,11 +161,10 @@ int main(int argc, char** argv) {
   const semcor::net::ServerMetricsSnapshot m = server.Metrics();
   std::printf(
       "semcor_serverd: stopped%s; sessions=%ld txns=%ld committed=%ld "
-      "aborted=%ld deadlocks=%ld admission_rejected=%ld idle_timeouts=%ld "
-      "invariant_ok=%d\n",
+      "aborted=%ld deadlocks=%ld idle_timeouts=%ld invariant_ok=%d\n",
       drained ? " (drained)" : "", m.sessions_accepted,
       m.Committed() + m.Aborted(), m.Committed(), m.Aborted(), m.deadlocks,
-      m.admission_rejected, m.idle_timeouts, server.InvariantHolds() ? 1 : 0);
+      m.idle_timeouts, server.InvariantHolds() ? 1 : 0);
   if (semcor::Status wal = server.WalFailure(); !wal.ok()) {
     std::fprintf(stderr,
                  "semcor_serverd: WAL froze under the panic policy: %s\n",

@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
   int64_t warmup_ms = 200;
   int64_t measure_ms = 2000;
   int64_t drain_ms = 4000;
-  int max_busy_retries = 50;
   uint64_t seed = 1;
   std::string configs_spec = "ser,si,ssi,negotiate";
   std::string report_id = "E15";
@@ -120,8 +119,6 @@ int main(int argc, char** argv) {
   flags.I64("warmup-ms", &warmup_ms, "unrecorded warmup window");
   flags.I64("measure-ms", &measure_ms, "recorded measurement window");
   flags.I64("drain-ms", &drain_ms, "backlog grace before arrivals drop");
-  flags.Int("max-busy-retries", &max_busy_retries,
-            "BUSY bounces absorbed before an operation counts as shed");
   flags.U64("seed", &seed, "server-side draw seed");
   flags.Str("configs", &configs_spec,
             "CSV from {ser,si,ssi,negotiate} (also accepts full level names)");
@@ -212,12 +209,10 @@ int main(int argc, char** argv) {
     load::LoadGenerator gen(lopts, &clock, [&](int conn, uint64_t) {
       load::OpOutcome out;
       Result<net::TxnResult> run =
-          clients[static_cast<size_t>(conn)]->RunTxn("", level, {},
-                                                     max_busy_retries);
+          clients[static_cast<size_t>(conn)]->RunTxn("", level);
       if (!run.ok()) {
-        // Either the server shed the load past the retry budget or the
-        // transport failed; both count as a non-committed outcome so the
-        // open loop keeps its schedule.
+        // The transport or the protocol failed; it counts as a
+        // non-committed outcome so the open loop keeps its schedule.
         std::lock_guard<std::mutex> lock(err_mu);
         ++errors;
         out.type = "error";

@@ -32,7 +32,7 @@ struct LoadOptions {
 struct OpOutcome {
   std::string type;        ///< transaction type (histogram key)
   bool committed = false;
-  bool busy = false;       ///< server shed it (admission BUSY / retry-after)
+  bool busy = false;       ///< server shed it (BUSY / retry-after)
   int busy_retries = 0;    ///< BUSY bounces absorbed before the outcome
 };
 

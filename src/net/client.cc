@@ -225,8 +225,9 @@ Result<TxnResult> Client::RunTxn(
   req.requested_level = level;
   req.params = params;
   const std::string exec = req.Encode();
-  // The first answer is BEGIN_OK, or BUSY when the server did not admit the
-  // transaction: nap (exponentially longer each time) and re-send the EXEC.
+  // The first answer is BEGIN_OK, or BUSY when the session's queue was full
+  // (only if other frames were pipelined on this connection) and the server
+  // shed the EXEC: nap (exponentially longer each time) and re-send it.
   Frame admitted;
   for (int attempt = 0;; ++attempt) {
     Result<Frame> frame = Call(MsgType::kExec, exec);
@@ -238,7 +239,7 @@ Result<TxnResult> Client::RunTxn(
     Result<BusyResp> busy = BusyResp::Decode(frame.value().payload);
     if (!busy.ok()) return busy.status();
     if (++result.busy_retries > max_busy_retries) {
-      return Status::Aborted("server busy: admission retries exhausted");
+      return Status::Aborted("server busy: BUSY retries exhausted");
     }
     const uint32_t ms = NextBackoffMs(attempt, busy.value().retry_after_ms);
     result.backoff_ms += ms;

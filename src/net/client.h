@@ -35,7 +35,7 @@ struct TxnResult {
   bool negotiated = false;
   bool advisor_correct = false;
   std::string detail;        ///< abort reason when !committed
-  int busy_retries = 0;      ///< BUSY responses absorbed (admission/queue)
+  int busy_retries = 0;      ///< BUSY responses absorbed (full session queue)
   uint64_t backoff_ms = 0;   ///< total retry sleep this call
 };
 
@@ -64,7 +64,7 @@ class Client {
   /// server runs BEGIN, the body and COMMIT, waiting out lock conflicts
   /// itself. level: an IsoLevel index, or kNegotiateLevel for server-side
   /// selection; txn_type empty = the server draws from its mix; params
-  /// empty = random. Absorbs BUSY (admission or queue backpressure) by
+  /// empty = random. Absorbs BUSY (session queue backpressure) by
   /// sleeping for the server's retry hint and re-sending the EXEC; gives up
   /// after `max_busy_retries` consecutive BUSY responses.
   Result<TxnResult> RunTxn(

@@ -42,7 +42,7 @@ Status EventLoop::Init() {
 }
 
 void EventLoop::Register(int fd, Handler handler) {
-  fds_[fd] = Entry{std::move(handler), false};
+  fds_[fd] = Entry{std::move(handler)};
 }
 
 void EventLoop::Deregister(int fd) { fds_.erase(fd); }
@@ -52,9 +52,20 @@ void EventLoop::WantWrite(int fd, bool on) {
   if (it != fds_.end()) it->second.want_write = on;
 }
 
+void EventLoop::WantRead(int fd, bool on) {
+  auto it = fds_.find(fd);
+  if (it != fds_.end()) it->second.want_read = on;
+}
+
 void EventLoop::SetWakeupHandler(std::function<void()> handler) {
   on_wakeup_ = std::move(handler);
 }
+
+void EventLoop::SetTimerHandler(std::function<void()> handler) {
+  on_timer_ = std::move(handler);
+}
+
+void EventLoop::ArmTimer(MonoTime when) { timer_at_ = when; }
 
 void EventLoop::Stop() {
   stop_.store(true, std::memory_order_release);
@@ -76,18 +87,19 @@ void EventLoop::Run() {
     order.clear();
     pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     for (const auto& [fd, entry] : fds_) {
-      short events = POLLIN;
+      short events = 0;
+      if (entry.want_read) events |= POLLIN;
       if (entry.want_write) events |= POLLOUT;
       pfds.push_back(pollfd{fd, events, 0});
       order.push_back(fd);
     }
-    // Sleep until the earliest deadline (capped at 500ms so a stale shared
+    // Sleep until the timer's deadline (capped at 500ms so a stale shared
     // flag is still noticed promptly), but never negative: an overdue timer
     // means poll should only collect what's already ready.
     int timeout_ms = 500;
-    if (std::optional<MonoTime> next = timers_.NextDeadline()) {
+    if (timer_at_.has_value()) {
       const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-          *next - MonoClock::now());
+          *timer_at_ - MonoClock::now());
       const auto clamped = std::clamp<int64_t>(until.count() + 1, 0, 500);
       timeout_ms = static_cast<int>(clamped);
     }
@@ -97,8 +109,11 @@ void EventLoop::Run() {
       break;  // unrecoverable poll failure; owner notices via stopped()
     }
     if (stopped()) break;
-    timers_.FireDue(MonoClock::now());
-    if (stopped()) break;
+    if (timer_at_.has_value() && *timer_at_ <= MonoClock::now()) {
+      timer_at_.reset();
+      if (on_timer_) on_timer_();
+      if (stopped()) break;
+    }
     if (pfds[0].revents != 0) {
       char drain[256];
       while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {

@@ -20,6 +20,16 @@ namespace semcor::net {
 
 namespace {
 
+/// The retry hint a BUSY frame carries.
+constexpr uint32_t kBusyRetryAfterMs = 5;
+
+/// A session stops being read while its outbox holds more than this, and
+/// resumes once TryFlush drains it back under: a client that pipelines
+/// frames and never reads its answers cannot grow server memory without
+/// limit. One read past the bound (4 KiB of frames) is the most it can
+/// overshoot by, plus one answer per frame already queued for a worker.
+constexpr size_t kMaxOutboxBytes = 1 << 20;
+
 Status Errno(const char* what) {
   return Status::Internal(StrCat(what, ": ", std::strerror(errno)));
 }
@@ -121,6 +131,12 @@ struct Server::Session {
   MonoTime last_activity{};   ///< set at accept + every inbound read
 
   bool hello_done = false;
+
+  /// The loop reads nothing more while this holds (caller holds `mu`): the
+  /// peer owes a read of its answers first, or the session is closing.
+  bool InputPaused() const {
+    return outbox.size() > kMaxOutboxBytes || close_after_flush;
+  }
 };
 
 Server::Server(ServerOptions options)
@@ -184,6 +200,13 @@ Status Server::Start() {
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
+  // Stop() only tears down a server that started, so every failure from
+  // here on closes the listener itself.
+  auto fail = [this](Status s) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return s;
+  };
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
@@ -192,20 +215,23 @@ Status Server::Start() {
   addr.sin_port = htons(options_.port);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    return Errno("bind");
+    return fail(Errno("bind"));
   }
-  if (::listen(listen_fd_, 64) != 0) return Errno("listen");
+  if (::listen(listen_fd_, 64) != 0) return fail(Errno("listen"));
   socklen_t len = sizeof(addr);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
       0) {
-    return Errno("getsockname");
+    return fail(Errno("getsockname"));
   }
   port_ = ntohs(addr.sin_port);
   SetNonBlocking(listen_fd_);
 
-  if (Status s = loop_.Init(); !s.ok()) return s;
+  if (Status s = loop_.Init(); !s.ok()) return fail(s);
   loop_.Register(listen_fd_, [this](bool, bool) { OnAccept(); });
   loop_.SetWakeupHandler([this] { OnWakeup(); });
+  loop_.SetTimerHandler([this] { SweepDeadlines(); });
+  // The loop thread does not exist yet, so arming here is safe.
+  if (options_.idle_timeout_us > 0) loop_.ArmTimer(MonoClock::now());
 
   start_time_ = std::chrono::steady_clock::now();
   serving_.store(true, std::memory_order_release);
@@ -222,9 +248,6 @@ Status Server::Start() {
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerMain(); });
   }
-  // Timers are loop-thread-only, so the first deadline sweep is scheduled
-  // from OnWakeup rather than here.
-  if (options_.idle_timeout_us > 0) loop_.Wakeup();
   return Status::Ok();
 }
 
@@ -315,20 +338,20 @@ void Server::OnAccept() {
 void Server::OnSessionIo(const std::shared_ptr<Session>& session,
                          bool readable, bool writable) {
   if (readable) {
+    // Reads until EAGAIN or until input pauses; TryFlush then keeps POLLIN
+    // off until the peer has read enough of its answers.
+    bool enqueue = false;
+    bool paused = false;
     char buf[4096];
-    for (;;) {
+    while (!paused) {
       const ssize_t n = ::read(session->fd, buf, sizeof(buf));
-      if (n > 0) {
-        session->parser.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
-      CloseSession(session);  // EOF or hard error
-      return;
-    }
-    bool enqueue = false;
-    {
+      if (n <= 0) {
+        CloseSession(session);  // EOF or hard error
+        return;
+      }
+      session->parser.Feed(buf, static_cast<size_t>(n));
       std::lock_guard<std::mutex> lock(session->mu);
       session->last_activity = MonoClock::now();
       Frame frame;
@@ -353,7 +376,7 @@ void Server::OnSessionIo(const std::shared_ptr<Session>& session,
           // Per-session backpressure: a pipelining client that outruns the
           // workers gets an immediate BUSY instead of unbounded buffering.
           BusyResp busy;
-          busy.retry_after_ms = options_.busy_retry_after_ms;
+          busy.retry_after_ms = kBusyRetryAfterMs;
           busy.reason = "session queue full";
           session->outbox += EncodeFrame(MsgType::kBusy, busy.Encode());
           std::lock_guard<std::mutex> mlock(metrics_->mu);
@@ -368,6 +391,7 @@ void Server::OnSessionIo(const std::shared_ptr<Session>& session,
         session->in_worker = true;
         enqueue = true;
       }
+      paused = session->InputPaused();
     }
     if (enqueue) EnqueueWork(session);
   }
@@ -393,6 +417,7 @@ void Server::TryFlush(std::shared_ptr<Session> session) {
     }
     if (!close_now) {
       loop_.WantWrite(session->fd, !session->outbox.empty());
+      loop_.WantRead(session->fd, !session->InputPaused());
       if (session->outbox.empty() && session->close_after_flush) {
         close_now = true;
       }
@@ -431,18 +456,17 @@ void Server::OnWakeup() {
     auto it = sessions_.find(fd);
     if (it != sessions_.end()) TryFlush(it->second);
   }
-  if (draining_.load(std::memory_order_acquire) && !drain_started_) {
+  if (draining_.load(std::memory_order_acquire) && !drain_deadline_) {
     BeginDrain();
-  }
-  if (!sweep_scheduled_ && (options_.idle_timeout_us > 0 || drain_started_)) {
-    sweep_scheduled_ = true;
-    loop_.timers().ScheduleAfter(std::chrono::microseconds(0),
-                                 [this] { SweepDeadlines(); });
   }
 }
 
 void Server::BeginDrain() {
-  drain_started_ = true;
+  const MonoTime now = MonoClock::now();
+  drain_deadline_ = options_.drain_timeout_us > 0
+                        ? now + std::chrono::microseconds(
+                                    options_.drain_timeout_us)
+                        : MonoTime::max();
   // No new connections; existing sessions keep their sockets until their
   // transactions settle (new EXECs are refused with kShuttingDown).
   if (listen_fd_ >= 0) {
@@ -450,11 +474,7 @@ void Server::BeginDrain() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (options_.drain_timeout_us > 0) {
-    loop_.timers().ScheduleAfter(
-        std::chrono::microseconds(options_.drain_timeout_us),
-        [this] { loop_.Stop(); });
-  }
+  loop_.ArmTimer(now);
 }
 
 void Server::SweepDeadlines() {
@@ -487,7 +507,11 @@ void Server::SweepDeadlines() {
     CloseSession(session);   // idempotent if TryFlush already closed
   }
 
-  if (drain_started_) {
+  if (drain_deadline_) {
+    if (now >= *drain_deadline_) {
+      loop_.Stop();  // forced: drain_timeout_us passed with work unsettled
+      return;
+    }
     long inflight;
     {
       std::lock_guard<std::mutex> lock(metrics_->mu);
@@ -522,10 +546,9 @@ void Server::SweepDeadlines() {
   if (options_.idle_timeout_us > 0) {
     period_us = std::min(period_us, options_.idle_timeout_us / 4);
   }
-  if (drain_started_) period_us = 5'000;
+  if (drain_deadline_) period_us = 5'000;
   period_us = std::max<uint64_t>(period_us, 5'000);
-  loop_.timers().ScheduleAfter(std::chrono::microseconds(period_us),
-                               [this] { SweepDeadlines(); });
+  loop_.ArmTimer(now + std::chrono::microseconds(period_us));
 }
 
 // ---------------------------------------------------------------------------
@@ -668,28 +691,6 @@ std::string Server::HandleExec(Session& session, const Frame& frame) {
   }
   const BeginReq& begin = req.value();
 
-  // Admission control: reserve an in-flight slot or turn the client away
-  // with a retry hint. The reservation happens inside the metrics lock so
-  // concurrent EXECs cannot oversubscribe.
-  {
-    std::lock_guard<std::mutex> lock(metrics_->mu);
-    if (metrics_->data.inflight >= options_.max_inflight_txns) {
-      metrics_->data.admission_rejected++;
-      BusyResp busy;
-      busy.retry_after_ms = options_.busy_retry_after_ms;
-      busy.reason = "transaction admission limit reached";
-      return EncodeFrame(MsgType::kBusy, busy.Encode());
-    }
-    metrics_->data.inflight++;
-    if (metrics_->data.inflight > metrics_->data.inflight_peak) {
-      metrics_->data.inflight_peak = metrics_->data.inflight;
-    }
-  }
-  auto release_slot = [this] {
-    std::lock_guard<std::mutex> lock(metrics_->mu);
-    metrics_->data.inflight--;
-  };
-
   // Resolve the program. An empty type or parameter list is drawn from the
   // session's stream; explicit parameters must match the type's signature.
   const std::string& type = begin.txn_type.empty()
@@ -699,7 +700,6 @@ std::string Server::HandleExec(Session& session, const Frame& frame) {
       begin.params.empty() ? workload_.Instantiate(type, session.rng)
                            : workload_.Instantiate(type, WireParams(begin));
   if (!program.ok()) {
-    release_slot();
     return ErrorFrame(WireError::kBadRequest, program.status().message());
   }
 
@@ -710,7 +710,6 @@ std::string Server::HandleExec(Session& session, const Frame& frame) {
   if (begin.requested_level == kNegotiateLevel) {
     // §5: run at the lowest level the static analysis proved correct.
     if (advice_it == advice_.end()) {
-      release_slot();
       return ErrorFrame(WireError::kBadRequest,
                         StrCat("no advice for type '", type, "'"));
     }
@@ -721,7 +720,6 @@ std::string Server::HandleExec(Session& session, const Frame& frame) {
     metrics_->data.negotiated_begins++;
   } else {
     if (!IsoLevelFromIndex(begin.requested_level, &level)) {
-      release_slot();
       return ErrorFrame(WireError::kBadRequest,
                         StrCat("bad isolation level index ",
                                begin.requested_level));
@@ -735,10 +733,13 @@ std::string Server::HandleExec(Session& session, const Frame& frame) {
     resp.verdict = SummarizeAdvice(advice_it->second);
   }
 
+  // The transaction is in flight from here until this worker settles it,
+  // so `inflight` never exceeds the worker count.
   const int level_idx = static_cast<int>(level);
   {
     std::lock_guard<std::mutex> lock(metrics_->mu);
     ServerMetricsSnapshot& m = metrics_->data;
+    m.inflight_peak = std::max(m.inflight_peak, ++m.inflight);
     m.begins[level_idx]++;
     m.per_type[type].begins++;
     if (advice_it != advice_.end()) {
@@ -826,7 +827,6 @@ std::string Server::BuildStats() {
   c("frames_in", m.frames_in);
   c("frames_out", m.frames_out);
   c("protocol_errors", m.protocol_errors);
-  c("admission_rejected", m.admission_rejected);
   c("queue_rejected", m.queue_rejected);
   c("negotiated_begins", m.negotiated_begins);
   c("inflight", m.inflight);

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,15 +35,12 @@ struct ServerOptions {
   int tpcc_customers = 8;
   int tpcc_items = 16;
   uint16_t port = 0;                 ///< 0 = kernel-assigned ephemeral port
-  int workers = 4;                   ///< fixed worker pool size
-  /// Admission control: EXEC is rejected with kBusy (retry-after) once this
-  /// many transactions are in flight. A transaction is in flight only while
-  /// a worker runs it, so a cap at or above `workers` never binds.
-  int max_inflight_txns = 64;
+  /// Fixed worker pool size. Each EXEC runs start to finish on one worker,
+  /// so this is also the bound on transactions in flight.
+  int workers = 4;
   /// Parsed-but-unserved frames buffered per session; beyond it the loop
   /// answers kBusy directly (per-session backpressure for pipelined clients).
   size_t session_queue_limit = 8;
-  uint32_t busy_retry_after_ms = 5;  ///< suggested backoff after kBusy
   uint64_t seed = 42;                ///< server-side instance draws
   size_t lock_shards = 0;            ///< 0 = LockManager default
   /// Write-ahead-log directory; empty = memory-only (no durability). When
@@ -63,7 +61,7 @@ struct ServerOptions {
   /// microseconds; 0 disables).
   uint64_t idle_timeout_us = 0;
   /// Drain: how long RequestDrain waits for in-flight transactions before
-  /// forcing the stop anyway.
+  /// forcing the stop anyway (0 = never forced).
   uint64_t drain_timeout_us = 5'000'000;
 };
 
@@ -78,13 +76,12 @@ struct ServerMetricsSnapshot {
   long frames_in = 0;
   long frames_out = 0;
   long protocol_errors = 0;
-  long admission_rejected = 0;  ///< EXECs turned away at the inflight cap
-  long queue_rejected = 0;      ///< frames turned away at the session queue cap
+  long queue_rejected = 0;    ///< frames turned away at the session queue cap
   long negotiated_begins = 0;
   long fcw_conflicts = 0;     ///< first-committer-wins aborts
   long deadlocks = 0;         ///< wait-for-graph deadlock aborts
   long retries_exhausted = 0; ///< always 0: retry is the client's job
-  long inflight = 0;
+  long inflight = 0;          ///< EXECs running on a worker (≤ workers)
   long inflight_peak = 0;
   long queue_depth_peak = 0;  ///< worker-queue high-water mark
   long idle_timeouts = 0;     ///< sessions reaped at --idle-timeout
@@ -103,7 +100,7 @@ struct ServerMetricsSnapshot {
   Histogram latency_ns;  ///< begin→commit, committed txns only
 
   /// Per-transaction-type split of the same lifecycle counters, keyed by
-  /// the type resolved at admission (after any server-side mix draw).
+  /// the type each EXEC resolved to (after any server-side mix draw).
   struct TypeMetrics {
     long begins = 0;
     std::array<long, kIsoLevelCount> commits{};
@@ -197,11 +194,12 @@ class Server {
   void TryFlush(std::shared_ptr<Session> session);
   void CloseSession(std::shared_ptr<Session> session);
   void OnWakeup();
-  /// Periodic loop-thread pass: reaps idle sessions and (while draining)
-  /// stops the loop once nothing is in flight. Reschedules itself.
+  /// The loop's timer handler: reaps idle sessions and (while draining)
+  /// stops the loop once nothing is in flight or the drain deadline has
+  /// passed. Re-arms the timer.
   void SweepDeadlines();
-  /// First OnWakeup after RequestDrain: close the listener, arm the drain
-  /// deadline, and start sweeping.
+  /// First OnWakeup after RequestDrain: close the listener, set the drain
+  /// deadline, and sweep now.
   void BeginDrain();
 
   // --- worker threads ---
@@ -209,7 +207,7 @@ class Server {
   void ServeSession(const std::shared_ptr<Session>& session);
   std::string Dispatch(Session& session, const Frame& frame);
   std::string HandleHello(Session& session, const Frame& frame);
-  /// Admits, runs and settles one transaction; see kExec in net/wire.h.
+  /// Resolves, runs and settles one transaction; see kExec in net/wire.h.
   std::string HandleExec(Session& session, const Frame& frame);
   std::string BuildStats();
 
@@ -253,8 +251,10 @@ class Server {
   std::atomic<bool> serving_{false};
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> draining_{false};
-  bool drain_started_ = false;  // loop thread only
-  bool sweep_scheduled_ = false;  // loop thread only
+  /// Set once the drain begins; past it the sweep forces the stop
+  /// (MonoTime::max() when drain_timeout_us is 0: never forced). Loop
+  /// thread only.
+  std::optional<MonoTime> drain_deadline_;
   bool started_ = false;
   bool stopped_joined_ = false;
   std::mutex state_mu_;

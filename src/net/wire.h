@@ -41,7 +41,7 @@ inline constexpr uint8_t kNegotiateLevel = 0xFF;
 enum class MsgType : uint8_t {
   kHello = 1,        ///< c->s: version check, open session
   kHelloOk = 2,      ///< s->c
-  kBeginOk = 4,      ///< s->c: EXEC admitted (type and level granted)
+  kBeginOk = 4,      ///< s->c: EXEC started (type and level granted)
   kStepReport = 6,   ///< s->c: the EXEC's terminal outcome
   kStats = 9,        ///< c->s
   kStatsOk = 10,     ///< s->c
@@ -53,7 +53,8 @@ enum class MsgType : uint8_t {
   /// c->s: run one transaction, BEGIN through COMMIT, in one request
   /// (payload: BeginReq). Answer: BEGIN_OK followed by the terminal step
   /// report (or a kNotDurable ERROR), or a lone BUSY/ERROR when the
-  /// transaction was not admitted. Nothing stays open between requests.
+  /// transaction never started (a full session queue, a bad request).
+  /// Nothing stays open between requests.
   kExec = 16,
 };
 

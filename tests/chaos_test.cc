@@ -1,11 +1,10 @@
-// Network-boundary chaos tests: the DeadlineQueue timer primitive, the
-// client's deterministic backoff schedule, the idle deadline over the wire,
-// graceful drain, disconnect cleanup (no locks or slots left behind,
-// inflight drains to zero), and the ChaosProxy —
-// seeded frame drops/truncation/duplication/splitting between a real client
-// and a real server. The acceptance property throughout: the server never
-// hangs or crashes, a torn-down session leaves no transaction, lock or slot
-// behind, and the workload invariant holds once the dust settles.
+// Network-boundary chaos tests: the client's deterministic backoff schedule,
+// the idle deadline over the wire, graceful drain, disconnect cleanup (no
+// locks left behind, inflight drains to zero), and the ChaosProxy — seeded
+// frame drops/truncation/duplication/splitting between a real client and a
+// real server. The acceptance property throughout: the server never hangs
+// or crashes, a torn-down session leaves no transaction or lock behind, and
+// the workload invariant holds once the dust settles.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,63 +18,13 @@
 
 #include "net/chaos.h"
 #include "net/client.h"
-#include "net/deadline.h"
 #include "net/server.h"
 #include "net/wire.h"
 
 namespace semcor::net {
 namespace {
 
-using std::chrono::microseconds;
 using std::chrono::milliseconds;
-
-// ---------------------------------------------------------------------------
-// DeadlineQueue.
-// ---------------------------------------------------------------------------
-
-TEST(DeadlineQueueTest, FiresInDeadlineOrderWithFifoTies) {
-  DeadlineQueue q;
-  const MonoTime t0 = MonoClock::now();
-  std::vector<int> fired;
-  q.ScheduleAt(t0 + milliseconds(30), [&] { fired.push_back(3); });
-  q.ScheduleAt(t0 + milliseconds(10), [&] { fired.push_back(1); });
-  q.ScheduleAt(t0 + milliseconds(10), [&] { fired.push_back(2); });  // tie
-
-  ASSERT_TRUE(q.NextDeadline().has_value());
-  EXPECT_EQ(*q.NextDeadline(), t0 + milliseconds(10));
-
-  q.FireDue(t0 + milliseconds(5));
-  EXPECT_TRUE(fired.empty());
-  q.FireDue(t0 + milliseconds(10));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));  // ties fire in schedule order
-  q.FireDue(t0 + milliseconds(60));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_FALSE(q.NextDeadline().has_value());
-  EXPECT_EQ(q.live(), 0u);
-}
-
-TEST(DeadlineQueueTest, CancelAndReentrantScheduling) {
-  DeadlineQueue q;
-  const MonoTime t0 = MonoClock::now();
-  std::vector<int> fired;
-  const DeadlineQueue::TimerId a = q.ScheduleAt(t0 + milliseconds(1), [&] {
-    fired.push_back(1);
-    // Re-entrant schedule from inside a callback must be safe — and a timer
-    // due at the current pass still fires in this pass.
-    q.ScheduleAt(t0 + milliseconds(1), [&] { fired.push_back(2); });
-  });
-  const DeadlineQueue::TimerId b =
-      q.ScheduleAt(t0 + milliseconds(2), [&] { fired.push_back(99); });
-  EXPECT_TRUE(q.Cancel(b));
-  EXPECT_FALSE(q.Cancel(b));  // already gone
-  (void)a;
-
-  q.FireDue(t0 + milliseconds(5));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  // Cancelled entries lazily drain: the queue reports no live timers.
-  EXPECT_EQ(q.live(), 0u);
-  EXPECT_FALSE(q.NextDeadline().has_value());
-}
 
 // ---------------------------------------------------------------------------
 // Client backoff schedule.

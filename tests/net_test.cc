@@ -4,14 +4,17 @@
 // in-process step driver.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
+#include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -254,9 +257,8 @@ Client MakeClient(const Server& server) {
 /// A banking transaction otherwise finishes in a few microseconds, less
 /// than a worker takes to wake up, so one worker tends to drain the whole
 /// queue alone and EXECs from different sessions rarely overlap. The
-/// fsync keeps each EXEC on its worker, holding its locks and its
-/// admission slot, long enough that concurrent sessions reliably run into
-/// both.
+/// fsync keeps each EXEC on its worker, holding its locks, long enough
+/// that concurrent sessions reliably run into each other's locks.
 ServerOptions FsyncingBankingOptions(const std::string& dir_name) {
   ServerOptions options = BankingOptions();
   options.wal_dir =
@@ -425,57 +427,8 @@ TEST(ServerTest, UnknownFrameTypeIsReportedNotFatal) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control and pipelined backpressure.
+// Pipelined backpressure.
 // ---------------------------------------------------------------------------
-
-TEST(ServerTest, AdmissionControlReturnsRetryAfterInsteadOfHanging) {
-  // A cap of one in-flight transaction, two workers and four concurrent
-  // clients: an EXEC over the cap is answered with BUSY instead of queueing,
-  // RunTxn re-sends it after the hint, every transaction still settles, and
-  // the server turned away exactly as many EXECs as the clients absorbed.
-  ServerOptions options = FsyncingBankingOptions("net_test_admission");
-  options.max_inflight_txns = 1;
-  Server server(options);
-  ASSERT_TRUE(server.Start().ok());
-  constexpr int kClients = 4;
-  constexpr int kTxns = 25;
-  std::atomic<long> busy{0};
-  std::atomic<long> committed{0};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kClients; ++t) {
-    pool.emplace_back([&, t] {
-      Client client = MakeClient(server);
-      if (!client.Connect().ok() || !client.Hello().ok()) {
-        failures++;
-        return;
-      }
-      for (int i = 0; i < kTxns; ++i) {
-        Result<TxnResult> run = client.RunTxn(
-            "Deposit_sav", kNegotiateLevel, {{"i", (t + i) % 4}, {"d", 1}});
-        if (!run.ok()) {
-          failures++;
-          return;
-        }
-        if (run.value().committed) committed++;
-        busy += run.value().busy_retries;
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  ASSERT_EQ(failures.load(), 0);
-
-  // One transaction at a time never conflicts, so everything commits.
-  EXPECT_EQ(committed.load(), kClients * kTxns);
-  const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_GT(busy.load(), 0);
-  EXPECT_EQ(m.admission_rejected, busy.load());
-  EXPECT_EQ(m.inflight_peak, 1);
-  EXPECT_EQ(m.inflight, 0);
-  EXPECT_TRUE(server.InvariantHolds());
-  server.Stop();
-  std::filesystem::remove_all(options.wal_dir);
-}
 
 TEST(ServerTest, PipelinedFloodIsAnsweredFrameForFrame) {
   ServerOptions options = BankingOptions();
@@ -514,6 +467,133 @@ TEST(ServerTest, PipelinedFloodIsAnsweredFrameForFrame) {
   server.Stop();
 }
 
+TEST(ServerTest, NonReadingClientCannotGrowServerMemory) {
+  // A client pipelines STATS frames and never reads. Past the session queue
+  // every frame is answered with a BUSY frame that waits in the outbox, so
+  // unless the server stops reading the session, the outbox grows as fast
+  // as the client can send. Once the outbox is over its bound the server
+  // must stop reading, so the client's sends stall once the socket buffers
+  // between the two fill up. Reading then drains everything, and every
+  // frame sent is answered, served or shed.
+  ServerOptions options = BankingOptions();
+  options.workers = 1;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int small = 4096;  // stall soon after the server stops reading
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+
+  const std::string stats = EncodeFrame(MsgType::kStats, "");
+  std::string chunk;
+  for (int i = 0; i < 1000; ++i) chunk += stats;
+  // The server would take well over the time limit to read the cap.
+  constexpr size_t kCap = 64u << 20;
+  const auto limit = std::chrono::seconds(10);
+  const auto stall = std::chrono::seconds(1);
+  size_t pushed = 0;
+  const auto start = std::chrono::steady_clock::now();
+  auto last_progress = start;
+  bool stalled = false;
+  while (pushed < kCap) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now - last_progress >= stall) {
+      stalled = true;
+      break;
+    }
+    if (now - start >= limit) break;
+    const size_t off = pushed % chunk.size();
+    const ssize_t n =
+        ::send(fd, chunk.data() + off, chunk.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      pushed += static_cast<size_t>(n);
+      last_progress = now;
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  // The stall is the server's doing: it has left frames unread in its
+  // socket. (Its kernel send buffer still holds answers beyond the outbox;
+  // the kernel bounds that.)
+  const long parsed = server.Metrics().frames_in;
+  EXPECT_TRUE(stalled) << "pushed " << pushed << " bytes without stalling";
+  EXPECT_LT(parsed, static_cast<long>(pushed / stats.size()));
+
+  // Now read. The rest of a frame cut short by the stall goes out as the
+  // server frees up; every frame gets exactly one answer.
+  std::string tail = stats.substr(pushed % stats.size());
+  if (tail.size() == stats.size()) tail.clear();
+  const size_t frames = (pushed + tail.size()) / stats.size();
+  FrameParser parser;
+  size_t served = 0, shed = 0;
+  char buf[65536];
+  while (served + shed < frames) {
+    pollfd p{fd, static_cast<short>(POLLIN | (tail.empty() ? 0 : POLLOUT)),
+             0};
+    ASSERT_GT(::poll(&p, 1, 20000), 0) << served + shed << "/" << frames;
+    if ((p.revents & POLLOUT) != 0) {
+      const ssize_t n = ::send(fd, tail.data(), tail.size(), MSG_NOSIGNAL);
+      if (n > 0) tail.erase(0, static_cast<size_t>(n));
+    }
+    if ((p.revents & POLLIN) == 0) continue;
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EAGAIN) continue;
+    ASSERT_GT(n, 0) << served + shed << "/" << frames;
+    parser.Feed(buf, static_cast<size_t>(n));
+    Frame frame;
+    while (parser.Pop(&frame) == FrameParser::PopResult::kFrame) {
+      if (frame.type == MsgType::kStatsOk) {
+        served++;
+      } else {
+        ASSERT_EQ(frame.type, MsgType::kBusy) << MsgTypeName(frame.type);
+        shed++;
+      }
+    }
+  }
+  EXPECT_EQ(served + shed, frames);
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(server.Metrics().frames_in, static_cast<long>(frames));
+  ::close(fd);
+  server.Stop();
+}
+
+/// Counts this process's open file descriptors.
+size_t OpenFds() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServerTest, FailedStartClosesItsListener) {
+  // Start fails at bind: another server holds the port. The listening
+  // socket it had already opened must be closed, by Start itself, since
+  // Stop() does nothing for a server that never started.
+  Server holder(BankingOptions());
+  ASSERT_TRUE(holder.Start().ok());
+  ServerOptions options = BankingOptions();
+  options.port = holder.port();
+  const size_t before = OpenFds();
+  for (int i = 0; i < 5; ++i) {
+    Server server(options);
+    EXPECT_FALSE(server.Start().ok());
+  }
+  EXPECT_EQ(OpenFds(), before);
+  holder.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // EXEC: BEGIN, body and COMMIT in one round trip.
 // ---------------------------------------------------------------------------
@@ -528,7 +608,7 @@ std::string ExecPayload(const std::string& type, uint8_t level,
 }
 
 /// Reads one complete EXEC answer: BEGIN_OK plus the frame behind it, or the
-/// lone frame of a transaction that was not admitted.
+/// lone frame of a transaction that never started.
 std::vector<Frame> RecvExecAnswer(Client& client) {
   std::vector<Frame> frames(1);
   EXPECT_TRUE(client.RecvFrame(&frames[0]).ok());
@@ -609,77 +689,12 @@ TEST(ExecTest, CommitsWithOneFrameInPerTransaction) {
   server.Stop();
 }
 
-TEST(ExecTest, OverAdmissionCapGetsLoneBusyThenRetryIsAdmitted) {
-  // Pipelined EXECs from concurrent sessions against a cap of one: each
-  // answer is either a complete BEGIN_OK + committed report or a lone BUSY
-  // with a retry hint (no BEGIN_OK trails it, or the answers that follow
-  // would fall out of step), and a re-sent EXEC is eventually admitted and
-  // commits in its one round trip.
-  ServerOptions options = FsyncingBankingOptions("net_test_over_cap");
-  options.max_inflight_txns = 1;
-  Server server(options);
-  ASSERT_TRUE(server.Start().ok());
-  constexpr int kClients = 4;
-  constexpr int kTxns = 24;
-  constexpr size_t kPipeline = 4;
-  std::atomic<long> busy{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kClients; ++t) {
-    pool.emplace_back([&, t] {
-      Client client = MakeClient(server);
-      ASSERT_TRUE(client.Connect().ok());
-      ASSERT_TRUE(client.Hello().ok());
-      std::deque<std::string> todo;
-      for (int i = 0; i < kTxns; ++i) {
-        todo.push_back(ExecPayload("Deposit_ch", kNegotiateLevel,
-                                   {{"i", (t + i) % 4}, {"d", 1}}));
-      }
-      while (!todo.empty()) {
-        std::vector<std::string> batch;
-        std::string frames;
-        while (!todo.empty() && batch.size() < kPipeline) {
-          batch.push_back(std::move(todo.front()));
-          todo.pop_front();
-          frames += EncodeFrame(MsgType::kExec, batch.back());
-        }
-        ASSERT_TRUE(client.SendRaw(frames).ok());
-        uint32_t nap_ms = 0;
-        for (std::string& exec : batch) {
-          const std::vector<Frame> answer = RecvExecAnswer(client);
-          if (answer.size() == 2) {
-            EXPECT_EQ(StepOutcomeOf(answer[1]), StepWire::kCommitted);
-            continue;
-          }
-          ASSERT_EQ(answer[0].type, MsgType::kBusy);
-          Result<BusyResp> hint = BusyResp::Decode(answer[0].payload);
-          ASSERT_TRUE(hint.ok());
-          ASSERT_GT(hint.value().retry_after_ms, 0u);
-          nap_ms = hint.value().retry_after_ms;
-          busy++;
-          todo.push_back(std::move(exec));
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(nap_ms));
-      }
-      ExpectNothingPending(client);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-
-  const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_GT(busy.load(), 0);
-  EXPECT_EQ(m.admission_rejected, busy.load());
-  EXPECT_EQ(m.Committed(), kClients * kTxns);
-  EXPECT_EQ(m.inflight_peak, 1);
-  EXPECT_EQ(m.inflight, 0);
-  server.Stop();
-  std::filesystem::remove_all(options.wal_dir);
-}
-
 TEST(ExecTest, UnknownTypeIsBadRequestAndLeaksNoSlot) {
   // An EXEC that does not bind to a type's signature (unknown type; a
   // parameter missing, unknown, sent twice or out of range for a boolean)
-  // gets exactly one ERROR(kBadRequest) naming what is wrong. It leaks no
-  // admission slot, and the session goes on to commit its next transaction.
+  // gets exactly one ERROR(kBadRequest) naming what is wrong. It leaves
+  // nothing in flight, and the session goes on to commit its next
+  // transaction.
   using WireParams = std::vector<std::pair<std::string, int64_t>>;
   struct BadExec {
     std::string type;
@@ -719,7 +734,6 @@ TEST(ExecTest, UnknownTypeIsBadRequestAndLeaksNoSlot) {
     ServerOptions options;
     options.workload = config.workload;
     options.workers = 2;
-    options.max_inflight_txns = 1;  // a leaked slot would BUSY the next EXEC
     Server server(options);
     ASSERT_TRUE(server.Start().ok());
     Client client = MakeClient(server);
@@ -944,7 +958,6 @@ void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
   ServerOptions options;
   options.workload = workload;
   options.workers = 3;
-  options.max_inflight_txns = 16;
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1005,6 +1018,8 @@ void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
   EXPECT_EQ(m.Committed() + m.Aborted(),
             static_cast<long>(threads) * txns_per_thread);
   EXPECT_EQ(m.inflight, 0);
+  // Each EXEC runs start to finish on one worker: the pool is the bound.
+  EXPECT_LE(m.inflight_peak, options.workers);
   EXPECT_TRUE(server.InvariantHolds());
 
   // The same numbers via the wire: STATS must agree with Metrics().
@@ -1099,24 +1114,36 @@ TEST(ServerTest, SequentialCountersMatchInProcessDriver) {
 // Client.
 // ---------------------------------------------------------------------------
 
-TEST(ClientTest, CloseDropsPartialFrameBeforeReconnect) {
-  // A peer that sends part of a frame header and hangs up leaves bytes in
-  // the client's parser. Close() must drop them, so a Connect() on the same
-  // Client (to a real server on the same port) parses a clean stream.
+/// A loopback listener on an ephemeral port, for tests that script the
+/// server's side of the protocol by hand. Returns the fd (-1 on failure).
+int RawListener(uint16_t* port) {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
+  if (listener < 0) return -1;
   const int one = 1;
   ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(
-      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(listener, 1), 0);
   socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const uint16_t port = ntohs(addr.sin_port);
+  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(listener, 1) != 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) !=
+          0) {
+    ::close(listener);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return listener;
+}
+
+TEST(ClientTest, CloseDropsPartialFrameBeforeReconnect) {
+  // A peer that sends part of a frame header and hangs up leaves bytes in
+  // the client's parser. Close() must drop them, so a Connect() on the same
+  // Client (to a real server on the same port) parses a clean stream.
+  uint16_t port = 0;
+  const int listener = RawListener(&port);
+  ASSERT_GE(listener, 0);
   std::thread peer([listener] {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) return;
@@ -1146,6 +1173,72 @@ TEST(ClientTest, CloseDropsPartialFrameBeforeReconnect) {
   Result<HelloResp> hello = client.Hello();
   EXPECT_TRUE(hello.ok()) << hello.status().ToString();
   server.Stop();
+}
+
+TEST(ClientTest, RunTxnAbsorbsBusyAndGivesUpPastItsBound) {
+  // A scripted peer answers EXECs with BUSY, BUSY, then BEGIN_OK plus a
+  // committed report; then BUSY twice more. RunTxn re-sends after each hint
+  // and commits on the third try, sleeping at least the hints' sum. With
+  // max_busy_retries = 1 the second BUSY is one too many: an error status.
+  uint16_t port = 0;
+  const int listener = RawListener(&port);
+  ASSERT_GE(listener, 0);
+  const uint32_t hints[] = {3, 4};
+  std::thread peer([listener, &hints] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    auto busy = [&hints](int i) {
+      BusyResp resp;
+      resp.retry_after_ms = hints[i % 2];
+      resp.reason = "scripted";
+      return EncodeFrame(MsgType::kBusy, resp.Encode());
+    };
+    BeginResp begin;
+    begin.txn_type = "Deposit_ch";
+    StepResp step;
+    step.outcome = static_cast<uint8_t>(StepWire::kCommitted);
+    const std::string script[] = {
+        busy(0), busy(1),
+        EncodeFrame(MsgType::kBeginOk, begin.Encode()) +
+            EncodeFrame(MsgType::kStepReport, step.Encode()),
+        busy(0), busy(1)};
+    FrameParser parser;
+    char buf[4096];
+    for (const std::string& answer : script) {
+      Frame frame;
+      while (parser.Pop(&frame) != FrameParser::PopResult::kFrame) {
+        const ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n <= 0) {
+          ::close(fd);
+          return;
+        }
+        parser.Feed(buf, static_cast<size_t>(n));
+      }
+      EXPECT_EQ(frame.type, MsgType::kExec) << MsgTypeName(frame.type);
+      (void)::send(fd, answer.data(), answer.size(), MSG_NOSIGNAL);
+    }
+    ::close(fd);
+  });
+
+  ClientOptions copts;
+  copts.port = port;
+  copts.recv_timeout_ms = 20000;
+  Client client(copts);
+  ASSERT_TRUE(client.Connect().ok());
+  const std::vector<std::pair<std::string, int64_t>> params = {{"i", 0},
+                                                               {"d", 1}};
+  Result<TxnResult> run = client.RunTxn("Deposit_ch", kNegotiateLevel, params);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run.value().committed);
+  EXPECT_EQ(run.value().busy_retries, 2);
+  EXPECT_GE(run.value().backoff_ms, uint64_t{hints[0] + hints[1]});
+
+  Result<TxnResult> gave_up = client.RunTxn("Deposit_ch", kNegotiateLevel,
+                                            params, /*max_busy_retries=*/1);
+  EXPECT_FALSE(gave_up.ok());
+  client.Close();
+  peer.join();
+  ::close(listener);
 }
 
 // ---------------------------------------------------------------------------
