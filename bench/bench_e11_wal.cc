@@ -1,15 +1,15 @@
-// E11: durability cost — what write-ahead logging and each fsync policy do
-// to commit throughput and tail latency.
+// E11: durability cost — what write-ahead logging and its fsyncs do to
+// commit throughput and tail latency.
 //
 //   bench_e11_wal --threads=4 --txns=150 --level=ser
 //
-// Runs the banking workload through the closed-loop executor six times: no
-// WAL at all, WAL with no fsync (logging cost alone), fsync-per-commit, and
-// group commit at 25/100/500 µs epochs. Every WAL run logs to a real file
-// device (fdatasync and all), then reopens the log directory afterwards and
-// checks that recovery replays exactly the transactions the run committed —
-// the bench doubles as an end-to-end recovery counter-parity check. Writes
-// BENCH_E11.json.
+// Runs the banking workload through the closed-loop executor three times:
+// no WAL at all, WAL with no fsync (logging cost alone), and group commit
+// (each committer's fsync covers every commit appended before it starts).
+// Every WAL run logs to a real file device (fdatasync and all), then
+// reopens the log directory afterwards and checks that recovery replays
+// exactly the transactions the run committed — the bench doubles as an
+// end-to-end recovery counter-parity check. Writes BENCH_E11.json.
 
 #include <cstdio>
 #include <map>
@@ -34,16 +34,12 @@ struct Config {
   const char* name;
   bool use_wal;
   wal::FsyncPolicy policy = wal::FsyncPolicy::kNone;
-  uint32_t epoch_us = 0;
 };
 
 constexpr Config kConfigs[] = {
     {"no_wal", false},
-    {"wal_nosync", true, wal::FsyncPolicy::kNone, 0},
-    {"per_commit", true, wal::FsyncPolicy::kPerCommit, 0},
-    {"group_25us", true, wal::FsyncPolicy::kGroupCommit, 25},
-    {"group_100us", true, wal::FsyncPolicy::kGroupCommit, 100},
-    {"group_500us", true, wal::FsyncPolicy::kGroupCommit, 500},
+    {"wal_nosync", true, wal::FsyncPolicy::kNone},
+    {"group", true, wal::FsyncPolicy::kGroupCommit},
 };
 
 struct RunReport {
@@ -67,7 +63,6 @@ bool RunConfig(const Config& cfg, const Workload& workload, IsoLevel level,
     std::remove(StrCat(dir, "/wal.log").c_str());  // fresh log per run
     wal::WalOptions wopts;
     wopts.fsync = cfg.policy;
-    if (cfg.epoch_us > 0) wopts.group_commit_us = cfg.epoch_us;
     wal::RecoveryResult rec;
     Result<std::unique_ptr<wal::WriteAheadLog>> opened =
         wal::WriteAheadLog::OpenDir(dir, &store, wopts, &rec);
@@ -126,7 +121,7 @@ int main(int argc, char** argv) {
   uint64_t seed = 42;
   cli::Flags flags("bench_e11_wal",
                    "Durability cost: commit throughput and tail latency "
-                   "across WAL fsync policies.");
+                   "with and without WAL fsyncs.");
   flags.Int("threads", &threads, "executor threads");
   flags.Int("txns", &txns, "transactions per thread");
   flags.Str("level", &level_name, "isolation level for every transaction");
@@ -181,11 +176,8 @@ int main(int argc, char** argv) {
   table.Print();
   json.AddTable("configs", table);
   if (baseline_tps > 0) {
-    // The headline ratio: group commit at the default epoch vs memory-only.
-    json.Scalar("group_100us_vs_no_wal",
-                tps_by_config["group_100us"] / baseline_tps);
-    json.Scalar("per_commit_vs_no_wal",
-                tps_by_config["per_commit"] / baseline_tps);
+    // The headline ratio: durable group commit vs memory-only.
+    json.Scalar("group_vs_no_wal", tps_by_config["group"] / baseline_tps);
   }
   json.Scalar("all_ok", all_ok ? 1L : 0L);
   if (!json.Write()) return 1;

@@ -82,14 +82,14 @@ echo "$fault_out" | grep -q 'injected_faults=[1-9]'
 
 # The sharded lock manager's multi-threaded stress battery must also be
 # clean under ASan (use-after-free in the waiter queues would surface here),
-# as must the WAL suite (codec round-trips, crash-point recovery, and the
-# group-commit flusher handing buffers across threads).
+# as must the WAL suite (codec round-trips, crash-point recovery, and
+# committers sharing one fsync across threads).
 cmake --build build-asan -j"$(nproc)" --target lock_shard_test wal_test
 ./build-asan/tests/lock_shard_test
 ./build-asan/tests/wal_test
 
-# ThreadSanitizer stage: the sharded lock manager and the WAL (group-commit
-# flusher fsyncing outside the append mutex) are the components with genuine
+# ThreadSanitizer stage: the sharded lock manager and the WAL (committers
+# fsyncing outside the append mutex) are the components with genuine
 # cross-thread mutation, so their batteries — plus the executor, fault,
 # network-server and chaos-proxy suites that drive them from worker threads —
 # must come up race-free.
@@ -168,11 +168,16 @@ assert 1 <= r["server_inflight_peak"] <= 4, r
 EOF
 fi
 
-# Numeric daemon flags are range-checked before any narrowing cast: a
-# negative group-commit epoch must be a usage error (exit 2), not a wrapped
-# 71-minute epoch whose first commit never acks.
+# The WAL has one syncing policy ("group": each committer's fsync covers
+# every commit appended before it starts) and no epoch knob: any other
+# --wal-fsync name is a usage error at flag parse (exit 2, before any setup
+# runs), and so is --group-commit-us, which is not a flag.
 serverd_status=0
-./build/examples/semcor_serverd --group-commit-us=-1 >/dev/null 2>&1 \
+./build/examples/semcor_serverd --wal-fsync=per_commit >/dev/null 2>&1 \
+    || serverd_status=$?
+test "$serverd_status" -eq 2
+serverd_status=0
+./build/examples/semcor_serverd --group-commit-us=100 >/dev/null 2>&1 \
     || serverd_status=$?
 test "$serverd_status" -eq 2
 # The admission cap is gone (--workers bounds what is in flight), and so is
@@ -254,8 +259,17 @@ test -s BENCH_E6.json
 test -s BENCH_E9.json
 ./build/bench/bench_e11_wal --threads=2 --txns=30
 test -s BENCH_E11.json
+# Every durable commit is covered by some fsync, and no fsync covers none:
+# the group row has 1 <= fsyncs <= committed.
 if command -v python3 >/dev/null 2>&1; then
-  python3 -c 'import json; assert json.load(open("BENCH_E11.json"))["all_ok"] == 1'
+  python3 - <<'EOF'
+import json
+r = json.load(open("BENCH_E11.json"))
+assert r["all_ok"] == 1, r
+group = [c for c in r["configs"] if c["config"] == "group"]
+assert len(group) == 1, r["configs"]
+assert 1 <= group[0]["fsyncs"] <= group[0]["committed"], group[0]
+EOF
 fi
 
 # E13: incremental static analysis at scale. The bench itself exits

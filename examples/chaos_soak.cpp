@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     sopts.workers = 2;
     sopts.seed = seed;
     sopts.wal_dir = wal_dir;
-    sopts.wal_fsync = "per_commit";
+    sopts.wal_fsync = "group";
     sopts.wal_fsync_failure = "panic";
     // Sync failures only: an append fault would freeze the log within a few
     // transactions and end the phase immediately; sync faults exercise the

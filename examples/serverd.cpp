@@ -13,7 +13,8 @@
 // Exit codes: 0 = clean shutdown, 1 = setup error (including WAL recovery
 // failure), 2 = usage error, 3 = the WAL froze on a device error under the
 // panic policy (acked durability could no longer be honoured). A numeric
-// flag outside its range is a usage error, never silently wrapped.
+// flag outside its range, or a WAL policy name the log does not know, is a
+// usage error, never silently wrapped or deferred to startup.
 
 #include <unistd.h>
 
@@ -42,8 +43,8 @@ void HandleDrain(int) {
 }
 
 /// Checked before any narrowing cast: a negative value would otherwise wrap
-/// to a huge unsigned one (a 71-minute group-commit epoch, an unbounded
-/// session queue, a lock-shard count the resharding loop never reaches).
+/// to a huge unsigned one (an unbounded session queue, a lock-shard count
+/// the resharding loop never reaches).
 bool InRange(const char* flag, int64_t value, int64_t lo, int64_t hi) {
   if (value >= lo && value <= hi) return true;
   std::fprintf(stderr, "semcor_serverd: --%s=%lld out of range [%lld, %lld]\n",
@@ -61,7 +62,6 @@ int main(int argc, char** argv) {
   int duration_s = 0;
   int64_t queue_limit = static_cast<int64_t>(options.session_queue_limit);
   int64_t lock_shards = 0;
-  int64_t group_commit_us = options.group_commit_us;
 
   semcor::cli::Flags flags(
       "semcor_serverd",
@@ -90,9 +90,7 @@ int main(int argc, char** argv) {
   flags.Str("wal-dir", &options.wal_dir,
             "write-ahead-log directory (empty = memory-only)");
   flags.Str("wal-fsync", &options.wal_fsync,
-            "WAL fsync policy: none|per_commit|group");
-  flags.I64("group-commit-us", &group_commit_us,
-            "group-commit epoch length in microseconds (0..1000000)");
+            "WAL fsync policy: none|group");
   flags.Str("wal-fsync-failure", &options.wal_fsync_failure,
             "reaction to a failed WAL fsync: panic|degrade");
   flags.Str("disk-faults", &options.disk_faults,
@@ -111,14 +109,18 @@ int main(int argc, char** argv) {
       !InRange("queue-limit", queue_limit, 1, INT_MAX) ||
       !InRange("lock-shards", lock_shards, 0,
                static_cast<int64_t>(semcor::LockManager::kMaxShards)) ||
-      !InRange("group-commit-us", group_commit_us, 0, 1'000'000) ||
       !InRange("duration-s", duration_s, 0, INT_MAX)) {
+    return 2;
+  }
+  semcor::wal::WalOptions wal_options;
+  if (semcor::Status s = semcor::net::ParseWalOptions(options, &wal_options);
+      !s.ok()) {
+    std::fprintf(stderr, "semcor_serverd: %s\n", s.message().c_str());
     return 2;
   }
   options.port = static_cast<uint16_t>(port);
   options.session_queue_limit = static_cast<size_t>(queue_limit);
   options.lock_shards = static_cast<size_t>(lock_shards);
-  options.group_commit_us = static_cast<uint32_t>(group_commit_us);
 
   semcor::net::Server server(options);
   if (semcor::Status s = server.Start(); !s.ok()) {

@@ -297,7 +297,6 @@ CrashMatrixResult ExploreSession::RunCrashMatrix(const Schedule& hints) {
   wopts.fsync = wal::FsyncPolicy::kNone;
   wopts.checkpoint_every_bytes = 0;
   wal::WriteAheadLog wal(std::move(device), &store_, wopts);
-  wal.Start();
   mgr_.SetWal(&wal);
 
   // Clean run, capturing the committed state after every logged commit:

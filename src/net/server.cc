@@ -139,6 +139,25 @@ struct Server::Session {
   }
 };
 
+Status ParseWalOptions(const ServerOptions& options, wal::WalOptions* out) {
+  if (!wal::ParseFsyncPolicy(options.wal_fsync, &out->fsync)) {
+    return Status::InvalidArgument(
+        StrCat("bad --wal-fsync '", options.wal_fsync, "' (none|group)"));
+  }
+  if (!wal::ParseFsyncFailurePolicy(options.wal_fsync_failure,
+                                    &out->fsync_failure)) {
+    return Status::InvalidArgument(
+        StrCat("bad --wal-fsync-failure '", options.wal_fsync_failure,
+               "' (panic|degrade)"));
+  }
+  if (!wal::ParseDiskFaultPlan(options.disk_faults, &out->disk_faults)) {
+    return Status::InvalidArgument(
+        StrCat("bad --disk-faults '", options.disk_faults,
+               "' (none | seed:N[:p_append[:p_short[:p_sync]]])"));
+  }
+  return Status::Ok();
+}
+
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       locks_(options_.lock_shards),
@@ -149,55 +168,9 @@ Server::~Server() { Stop(); }
 Status Server::Start() {
   if (started_) return Status::Internal("server already started");
 
-  if (!MakeWorkloadByName(options_, &workload_)) {
-    return Status::InvalidArgument(
-        StrCat("unknown workload '", options_.workload,
-               "' (banking|payroll|orders|orders_unique|tpcc)"));
-  }
-  if (Status s = workload_.setup(&store_); !s.ok()) return s;
-
-  if (!options_.wal_dir.empty()) {
-    wal::WalOptions wopts;
-    if (!wal::ParseFsyncPolicy(options_.wal_fsync, &wopts.fsync)) {
-      return Status::InvalidArgument(
-          StrCat("bad --wal-fsync '", options_.wal_fsync,
-                 "' (none|per_commit|group)"));
-    }
-    wopts.group_commit_us = options_.group_commit_us;
-    if (!wal::ParseFsyncFailurePolicy(options_.wal_fsync_failure,
-                                      &wopts.fsync_failure)) {
-      return Status::InvalidArgument(
-          StrCat("bad --wal-fsync-failure '", options_.wal_fsync_failure,
-                 "' (panic|degrade)"));
-    }
-    if (!wal::ParseDiskFaultPlan(options_.disk_faults, &wopts.disk_faults)) {
-      return Status::InvalidArgument(
-          StrCat("bad --disk-faults '", options_.disk_faults,
-                 "' (none | seed:N[:p_append[:p_short[:p_sync]]])"));
-    }
-    // OpenDir replays whatever a previous incarnation left in the log over
-    // the setup state (a fresh log just re-checkpoints the setup), so a
-    // kill -9 mid-bench resumes from exactly the durable committed prefix.
-    Result<std::unique_ptr<wal::WriteAheadLog>> w = wal::WriteAheadLog::OpenDir(
-        options_.wal_dir, &store_, wopts, &recovery_);
-    if (!w.ok()) return w.status();
-    wal_ = w.take();
-    mgr_.SetWal(wal_.get());
-    // Ids restart above everything the log ever assigned, so recovered and
-    // new transactions never collide in the chronicle.
-    mgr_.ResetIds(recovery_.max_txn_id + 1);
-  }
-
-  // The §5 analysis runs once at startup; EXEC negotiation is then a map
-  // lookup, so static checking never sits on the request path. The advisor
-  // stays resident: its obligation cache makes re-advising after a workload
-  // edit O(K) pair checks instead of a fresh O(K²) sweep.
-  advisor_ = std::make_unique<IncrementalAdvisor>(workload_.app,
-                                                  IncrementalOptions{});
-  for (LevelAdvice& advice : advisor_->AdviseAll()) {
-    advice_[advice.txn_type] = std::move(advice);
-  }
-
+  // Bind before anything touches the WAL directory: a second server started
+  // on a taken port with the same --wal-dir must fail here, not after its
+  // OpenDir has replayed and re-checkpointed a live server's log.
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
   // Stop() only tears down a server that started, so every failure from
@@ -225,6 +198,39 @@ Status Server::Start() {
   }
   port_ = ntohs(addr.sin_port);
   SetNonBlocking(listen_fd_);
+
+  if (!MakeWorkloadByName(options_, &workload_)) {
+    return fail(Status::InvalidArgument(
+        StrCat("unknown workload '", options_.workload,
+               "' (banking|payroll|orders|orders_unique|tpcc)")));
+  }
+  if (Status s = workload_.setup(&store_); !s.ok()) return fail(s);
+
+  if (!options_.wal_dir.empty()) {
+    wal::WalOptions wopts;
+    if (Status s = ParseWalOptions(options_, &wopts); !s.ok()) return fail(s);
+    // OpenDir replays whatever a previous incarnation left in the log over
+    // the setup state (a fresh log just re-checkpoints the setup), so a
+    // kill -9 mid-bench resumes from exactly the durable committed prefix.
+    Result<std::unique_ptr<wal::WriteAheadLog>> w = wal::WriteAheadLog::OpenDir(
+        options_.wal_dir, &store_, wopts, &recovery_);
+    if (!w.ok()) return fail(w.status());
+    wal_ = w.take();
+    mgr_.SetWal(wal_.get());
+    // Ids restart above everything the log ever assigned, so recovered and
+    // new transactions never collide in the chronicle.
+    mgr_.ResetIds(recovery_.max_txn_id + 1);
+  }
+
+  // The §5 analysis runs once at startup; EXEC negotiation is then a map
+  // lookup, so static checking never sits on the request path. The advisor
+  // stays resident: its obligation cache makes re-advising after a workload
+  // edit O(K) pair checks instead of a fresh O(K²) sweep.
+  advisor_ = std::make_unique<IncrementalAdvisor>(workload_.app,
+                                                  IncrementalOptions{});
+  for (LevelAdvice& advice : advisor_->AdviseAll()) {
+    advice_[advice.txn_type] = std::move(advice);
+  }
 
   if (Status s = loop_.Init(); !s.ok()) return fail(s);
   loop_.Register(listen_fd_, [this](bool, bool) { OnAccept(); });

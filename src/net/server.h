@@ -48,10 +48,9 @@ struct ServerOptions {
   /// serving, and COMMIT acknowledgements wait for the commit record's
   /// fsync (see wal_fsync).
   std::string wal_dir;
-  /// Fsync policy: "none" | "per_commit" | "group" (group commit).
+  /// Fsync policy: "none" | "group" (each committer's fsync covers every
+  /// commit appended before it starts).
   std::string wal_fsync = "group";
-  /// Group-commit epoch length in microseconds.
-  uint32_t group_commit_us = 100;
   /// Reaction to a failed WAL fsync: "panic" (freeze the log, refuse acks,
   /// stop serving) or "degrade" (keep serving without durability claims).
   std::string wal_fsync_failure = "panic";
@@ -64,6 +63,12 @@ struct ServerOptions {
   /// forcing the stop anyway (0 = never forced).
   uint64_t drain_timeout_us = 5'000'000;
 };
+
+/// Parses the WAL policy names in `options` (wal_fsync, wal_fsync_failure,
+/// disk_faults) into `out`; a bad one is InvalidArgument naming its flag.
+/// Start() uses it, and so does serverd at flag parse, so that a bad name
+/// is a usage error before any setup runs.
+Status ParseWalOptions(const ServerOptions& options, wal::WalOptions* out);
 
 /// Counter snapshot returned by Server::Metrics and serialized (plus derived
 /// gauges) into the STATS response. The committed/aborted/deadlocks/
@@ -135,8 +140,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, precomputes the advisor cache, spawns the loop thread
-  /// and the worker pool. On success port() is the bound port.
+  /// Binds and listens first, so a taken port fails before the WAL
+  /// directory is opened (opening replays and re-checkpoints it); then sets
+  /// up the workload, recovers the WAL, precomputes the advisor cache, and
+  /// spawns the loop thread and the worker pool. On success port() is the
+  /// bound port.
   Status Start();
 
   /// Graceful stop: stops the loop, joins all threads (each worker finishes
@@ -179,6 +187,10 @@ class Server {
   /// What WAL recovery did at Start() (all zeros when running memory-only
   /// or on a fresh log).
   const wal::RecoveryResult& Recovery() const { return recovery_; }
+
+  /// The write-ahead log Start() opened (nullptr when memory-only); tests
+  /// reach its crash-point hook through it.
+  wal::WriteAheadLog* wal() const { return wal_.get(); }
 
  private:
   struct Session;

@@ -550,7 +550,7 @@ Status TxnManager::Commit(Txn* txn) {
     txn->commit_ts = h.commit_ts;
     // Release locks after the commit record is ordered but before the fsync
     // wait: a dependent commit appends later, so the durable prefix still
-    // respects commit order, and nobody holds locks across an epoch sleep.
+    // respects commit order, and nobody holds locks across an fsync.
     locks_->ReleaseAll(txn->id);
     txn->state = Txn::State::kCommitted;
     txn->durable = wal_->WaitDurable(h.lsn);

@@ -146,8 +146,8 @@ class TxnManager {
   /// Attaches a write-ahead log (nullptr = memory-only, the default). When
   /// set, every begin/write/undo/abort is chronicled and Commit routes
   /// through WriteAheadLog::LogCommit so log order equals commit order;
-  /// Commit then blocks until the commit record is durable (group-commit
-  /// epoch fsync) and records the ack in Txn::durable.
+  /// Commit then blocks until the commit record is durable (an fsync that
+  /// covers it, possibly its own) and records the ack in Txn::durable.
   void SetWal(wal::WriteAheadLog* w) { wal_ = w; }
   wal::WriteAheadLog* wal() { return wal_; }
 

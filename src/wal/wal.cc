@@ -1,7 +1,6 @@
 #include "wal/wal.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 
 #include "common/str_util.h"
@@ -12,8 +11,6 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   switch (policy) {
     case FsyncPolicy::kNone:
       return "none";
-    case FsyncPolicy::kPerCommit:
-      return "per_commit";
     case FsyncPolicy::kGroupCommit:
       return "group";
   }
@@ -23,9 +20,7 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
 bool ParseFsyncPolicy(const std::string& name, FsyncPolicy* out) {
   if (name == "none") {
     *out = FsyncPolicy::kNone;
-  } else if (name == "per_commit" || name == "per-commit") {
-    *out = FsyncPolicy::kPerCommit;
-  } else if (name == "group" || name == "group_commit") {
+  } else if (name == "group") {
     *out = FsyncPolicy::kGroupCommit;
   } else {
     return false;
@@ -212,44 +207,14 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::OpenDir(
   // history (first boot: captures the workload's setup state).
   Status s = wal->Checkpoint();
   if (!s.ok()) return s;
-  wal->Start();
   return wal;
 }
 
-void WriteAheadLog::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.fsync != FsyncPolicy::kGroupCommit) return;
-  if (flusher_running_ || stop_ || crashed_) return;
-  flusher_running_ = true;
-  flusher_ = std::thread([this] { FlusherLoop(); });
-}
-
-void WriteAheadLog::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    flusher_cv_.notify_all();
-    durable_cv_.notify_all();
-  }
-  if (flusher_.joinable()) flusher_.join();
-  Lsn target = 0;
-  uint64_t commits = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (crashed_ || !LsnLt(durable_lsn_, last_lsn_)) return;
-    target = last_lsn_;
-    commits = stats_.commits_logged;
-  }
-  SyncUpTo(target, commits);
-}
+void WriteAheadLog::Stop() { Flush(); }
 
 bool WriteAheadLog::HookSaysCrash(FaultSite site, TxnId txn) {
   if (!hook_ || crashed_) return crashed_;
-  if (hook_(site, txn)) {
-    crashed_ = true;
-    durable_cv_.notify_all();
-    flusher_cv_.notify_all();
-  }
+  if (hook_(site, txn)) crashed_ = true;
   return crashed_;
 }
 
@@ -278,8 +243,6 @@ Lsn WriteAheadLog::AppendLocked(Record* rec, TxnId txn) {
     ++stats_.device_errors;
     if (device_error_.ok()) device_error_ = appended;
     crashed_ = true;
-    durable_cv_.notify_all();
-    flusher_cv_.notify_all();
     return 0;
   }
   last_lsn_ = rec->lsn;
@@ -360,7 +323,7 @@ void WriteAheadLog::LogAbort(TxnId txn) {
 WriteAheadLog::CommitHandle WriteAheadLog::LogCommit(
     TxnId txn, const std::function<Result<Timestamp>(TxnEffects*)>& apply,
     Status* apply_status) {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   CommitHandle handle;
   // The store commit runs under mu_, so log order == commit order even when
   // sessions race: the durable log prefix is always a commit-order prefix.
@@ -379,41 +342,38 @@ WriteAheadLog::CommitHandle WriteAheadLog::LogCommit(
   handle.lsn = AppendLocked(&rec, txn);
   if (handle.lsn == 0) return handle;
   ++stats_.commits_logged;
-
-  switch (options_.fsync) {
-    case FsyncPolicy::kNone:
-      durable_lsn_ = last_lsn_;
-      acked_commits_ = stats_.commits_logged;
-      durable_cv_.notify_all();
-      break;
-    case FsyncPolicy::kPerCommit:
-      break;  // synced below, outside mu_
-    case FsyncPolicy::kGroupCommit:
-      break;  // the epoch flusher picks it up
+  if (options_.fsync == FsyncPolicy::kNone) {
+    durable_lsn_ = last_lsn_;
+    acked_commits_ = stats_.commits_logged;
   }
 
   if (options_.checkpoint_every_bytes > 0 && !crashed_ &&
       device_->Size() >= options_.checkpoint_every_bytes) {
     // The checkpoint's Reset is itself durable, so when it folds this commit
-    // in, the per-commit sync below sees durable_lsn_ already past it.
+    // in, WaitDurable finds durable_lsn_ already past it.
     CheckpointLocked();
-  }
-  if (options_.fsync == FsyncPolicy::kPerCommit) {
-    const Lsn target = last_lsn_;
-    const uint64_t commits = stats_.commits_logged;
-    lock.unlock();
-    SyncUpTo(target, commits);
   }
   return handle;
 }
 
-void WriteAheadLog::SyncUpTo(Lsn target, uint64_t target_commits) {
-  std::lock_guard<std::mutex> sync_lock(sync_mu_);
-  const TxnId site_txn = 0;
-  bool skip_sync = false;
+void WriteAheadLog::SyncCovering(Lsn lsn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (crashed_ || LsnLe(target, durable_lsn_)) return;
+    if (crashed_ || LsnLe(lsn, durable_lsn_)) return;
+  }
+  std::lock_guard<std::mutex> sync_lock(sync_mu_);
+  const TxnId site_txn = 0;
+  Lsn target = 0;
+  uint64_t target_commits = 0;
+  bool skip_sync = false;
+  {
+    // Read the target only now: a sync that ran while this caller queued
+    // may have covered it already, and otherwise everything appended
+    // meanwhile rides on this one fsync.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (crashed_ || LsnLe(lsn, durable_lsn_)) return;
+    target = last_lsn_;
+    target_commits = stats_.commits_logged;
     if (HookSaysCrash(FaultSite::kWalPreSync, site_txn)) return;
     skip_sync = degraded_;
   }
@@ -429,8 +389,6 @@ void WriteAheadLog::SyncUpTo(Lsn target, uint64_t target_commits) {
       // would prove nothing even if it "succeeded" — the kernel may have
       // dropped the dirty pages when the first fsync failed.
       crashed_ = true;
-      durable_cv_.notify_all();
-      flusher_cv_.notify_all();
       return;
     }
     // Degrade to unsafe: keep serving, stop claiming durability. From here
@@ -448,41 +406,20 @@ void WriteAheadLog::SyncUpTo(Lsn target, uint64_t target_commits) {
   if (LsnLt(durable_lsn_, target)) {
     durable_lsn_ = target;
     const uint64_t batch = target_commits - acked_commits_;
-    if (batch > 0 && options_.fsync == FsyncPolicy::kGroupCommit) {
+    if (batch > 0) {
       ++stats_.group_commit_batches;
       stats_.batch_commits += batch;
     }
     if (degraded_ && batch > 0) stats_.unsafe_acks += batch;
     if (acked_commits_ < target_commits) acked_commits_ = target_commits;
-    durable_cv_.notify_all();
   }
   HookSaysCrash(FaultSite::kWalPostSync, site_txn);
 }
 
-void WriteAheadLog::FlusherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_ && !crashed_) {
-    flusher_cv_.wait_for(lock,
-                         std::chrono::microseconds(options_.group_commit_us),
-                         [&] { return stop_ || crashed_; });
-    if (stop_ || crashed_) break;
-    if (LsnLt(durable_lsn_, last_lsn_)) {
-      const Lsn target = last_lsn_;
-      const uint64_t commits = stats_.commits_logged;
-      lock.unlock();
-      SyncUpTo(target, commits);
-      lock.lock();
-    }
-  }
-  flusher_running_ = false;
-}
-
 bool WriteAheadLog::WaitDurable(Lsn lsn) {
   if (lsn == 0) return false;
-  std::unique_lock<std::mutex> lock(mu_);
-  durable_cv_.wait(lock, [&] {
-    return crashed_ || stop_ || LsnLe(lsn, durable_lsn_);
-  });
+  SyncCovering(lsn);
+  std::lock_guard<std::mutex> lock(mu_);
   return LsnLe(lsn, durable_lsn_);
 }
 
@@ -518,8 +455,6 @@ Status WriteAheadLog::CheckpointLocked() {
     if (device_error_.ok()) device_error_ = s;
     if (options_.fsync_failure == FsyncFailurePolicy::kPanic) {
       crashed_ = true;
-      durable_cv_.notify_all();
-      flusher_cv_.notify_all();
     } else {
       degraded_ = true;
     }
@@ -534,20 +469,17 @@ Status WriteAheadLog::CheckpointLocked() {
   stats_.bytes_appended += bytes.size();
   stats_.bytes_reclaimed += old_size;
   acked_commits_ = stats_.commits_logged;
-  durable_cv_.notify_all();
   return Status::Ok();
 }
 
 Status WriteAheadLog::Flush() {
-  Lsn target = 0;
-  uint64_t commits = 0;
+  Lsn last = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (crashed_) return Status::Aborted("wal crashed");
-    target = last_lsn_;
-    commits = stats_.commits_logged;
+    last = last_lsn_;
   }
-  SyncUpTo(target, commits);
+  SyncCovering(last);
   std::lock_guard<std::mutex> lock(mu_);
   return crashed_ ? Status::Aborted("wal crashed") : Status::Ok();
 }
@@ -560,8 +492,6 @@ void WriteAheadLog::SetFaultHook(FaultHook hook) {
 void WriteAheadLog::Freeze() {
   std::lock_guard<std::mutex> lock(mu_);
   crashed_ = true;
-  durable_cv_.notify_all();
-  flusher_cv_.notify_all();
 }
 
 bool WriteAheadLog::crashed() const {

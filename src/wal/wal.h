@@ -1,14 +1,12 @@
 #ifndef SEMCOR_WAL_WAL_H_
 #define SEMCOR_WAL_WAL_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
 #include "fault/fault.h"
@@ -23,8 +21,7 @@ namespace semcor::wal {
 /// When commit records reach stable storage.
 enum class FsyncPolicy {
   kNone = 0,         ///< never sync (bench baseline; no durability claim)
-  kPerCommit = 1,    ///< one fsync per commit, inline
-  kGroupCommit = 2,  ///< epoch flusher amortizes one fsync across commits
+  kGroupCommit = 1,  ///< a committer's fsync covers everything appended so far
 };
 
 const char* FsyncPolicyName(FsyncPolicy policy);
@@ -51,8 +48,6 @@ bool ParseFsyncFailurePolicy(const std::string& name, FsyncFailurePolicy* out);
 
 struct WalOptions {
   FsyncPolicy fsync = FsyncPolicy::kGroupCommit;
-  /// Group-commit epoch length: the flusher syncs at most once per epoch.
-  uint32_t group_commit_us = 100;
   /// Auto-checkpoint once the log grows past this many bytes (0 = manual
   /// checkpoints only).
   uint64_t checkpoint_every_bytes = 4u << 20;
@@ -127,23 +122,24 @@ RecoveryResult RecoverFromBytes(std::string_view log, Store* store);
 /// per-level semantic conditions were checked against.
 ///
 /// Durability contract: a commit may be acknowledged only after
-/// WaitDurable(lsn) returns true. kPerCommit syncs inline; kGroupCommit
-/// wakes waiters once the epoch flusher's fsync covers their LSN.
+/// WaitDurable(lsn) returns true. A committer whose record is not yet
+/// durable syncs the log itself, and each fsync covers every record
+/// appended before it starts. Committers that queue behind a running fsync
+/// then either find themselves covered by it or cover the whole backlog
+/// with one more — group commit without a timer.
 class WriteAheadLog {
  public:
   WriteAheadLog(std::unique_ptr<LogDevice> device, Store* store,
                 WalOptions options);
   ~WriteAheadLog();
 
-  /// Opens `dir`/wal.log, recovers its contents into `store`, writes a
-  /// fresh checkpoint (truncating history), and starts the flusher.
+  /// Opens `dir`/wal.log, recovers its contents into `store`, and writes a
+  /// fresh checkpoint (truncating history).
   static Result<std::unique_ptr<WriteAheadLog>> OpenDir(
       const std::string& dir, Store* store, WalOptions options,
       RecoveryResult* recovery);
 
-  /// Starts the group-commit flusher (no-op for other policies).
-  void Start();
-  /// Final sync + flusher join. Idempotent.
+  /// Final sync (Flush, ignoring its status). Idempotent.
   void Stop();
 
   // ---- record appends (no-ops once crashed) ----
@@ -170,9 +166,9 @@ class WriteAheadLog {
       const std::function<Result<Timestamp>(TxnEffects*)>& apply,
       Status* apply_status);
 
-  /// Blocks until the record at `lsn` is durable under the fsync policy.
-  /// Returns false — do not acknowledge — when the log crashed first or
-  /// `lsn` is 0.
+  /// Returns once the record at `lsn` is durable, syncing the log itself
+  /// when no completed fsync covers it yet. Returns false — do not
+  /// acknowledge — when the log crashed first or `lsn` is 0.
   bool WaitDurable(Lsn lsn);
 
   /// Fuzzy checkpoint + truncation: captures the committed state and the
@@ -222,24 +218,24 @@ class WriteAheadLog {
   /// when the log is (or just became) crashed.
   Lsn AppendLocked(Record* rec, TxnId txn);
   Status CheckpointLocked();
-  /// One sync pass: makes everything up to `target` durable and acks the
-  /// `target_commits` it covers. Caller must NOT hold mu_ — the device fsync
-  /// runs outside it (serialized by sync_mu_) so appends and commits keep
-  /// flowing while the disk works.
-  void SyncUpTo(Lsn target, uint64_t target_commits);
-  void FlusherLoop();
+  /// Makes the record at `lsn` durable: returns at once when a completed
+  /// sync covers it, and otherwise fsyncs everything appended so far. The
+  /// check and the target are read under mu_ only once sync_mu_ is held,
+  /// so a caller queued behind a running fsync either finds itself covered
+  /// by it or covers, with one fsync, everything appended meanwhile. Caller
+  /// must NOT hold mu_ — the device fsync runs outside it so appends and
+  /// commits keep flowing while the disk works.
+  void SyncCovering(Lsn lsn);
   bool HookSaysCrash(FaultSite site, TxnId txn);
 
   std::unique_ptr<LogDevice> device_;
   Store* store_;
   WalOptions options_;
 
-  /// Serializes syncers (flusher, per-commit committers, Flush/Stop).
-  /// Ordered strictly before mu_: never acquired while holding mu_.
+  /// Serializes syncers (committers, Flush/Stop). Ordered strictly before
+  /// mu_: never acquired while holding mu_.
   std::mutex sync_mu_;
   mutable std::mutex mu_;
-  std::condition_variable durable_cv_;
-  std::condition_variable flusher_cv_;
   Lsn next_lsn_ = 1;
   Lsn last_lsn_ = 0;     ///< newest appended record
   Lsn durable_lsn_ = 0;  ///< newest record covered by a sync
@@ -247,9 +243,6 @@ class WriteAheadLog {
   bool degraded_ = false;       ///< fsync failed under kDegradeToUnsafe
   Status device_error_ = Status::Ok();  ///< first device failure absorbed
   FaultyDevice* faulty_ = nullptr;      ///< set when OpenDir wrapped the device
-  bool stop_ = false;
-  bool flusher_running_ = false;
-  std::thread flusher_;
   std::set<TxnId> active_;
   uint64_t committed_base_ = 0;  ///< from the recovered checkpoint
   uint64_t acked_commits_ = 0;   ///< commits covered by completed syncs

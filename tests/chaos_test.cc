@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,21 +134,52 @@ TEST(DeadlineTest, IdleSessionIsReapedWithTimeoutFrame) {
   server.Stop();
 }
 
+/// Parks whichever thread reaches the WAL's pre-sync crash site until
+/// Open() (or 10 s, so a failed test cannot wedge the server's workers).
+/// The hook never crashes the log.
+struct SyncLatch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool open = false;
+
+  wal::WriteAheadLog::FaultHook Hook() {
+    return [this](FaultSite site, TxnId) {
+      if (site != FaultSite::kWalPreSync) return false;
+      std::unique_lock<std::mutex> lock(mu);
+      parked = true;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [this] { return open; });
+      return false;
+    };
+  }
+  bool WaitParked() {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [this] { return parked; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
 TEST(DeadlineTest, DrainFinishesInflightAndRefusesNewWork) {
-  // An EXEC whose commit waits for a group-commit epoch (up to a second) is
-  // in flight when the drain starts. It must still commit and deliver its
-  // answer, while a new EXEC from an already-connected session is refused
-  // with kShuttingDown. (New *connections* are refused outright once
-  // draining — the listener closes.) The loop then stops on its own.
+  // An EXEC held at its commit's fsync is in flight when the drain starts.
+  // It must still commit and deliver its answer, while a new EXEC from an
+  // already-connected session is refused with kShuttingDown. (New
+  // *connections* are refused outright once draining — the listener
+  // closes.) The loop then stops on its own.
   ServerOptions options = BankingOptions();
   options.wal_dir = ::testing::TempDir() + "chaos_test_drain_" +
                     std::to_string(::getpid());
   std::filesystem::remove_all(options.wal_dir);
-  options.wal_fsync = "group";
-  options.group_commit_us = 1'000'000;
   options.drain_timeout_us = 5'000'000;
+  SyncLatch latch;  // outlives the server, whose WAL calls its hook
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
+  server.wal()->SetFaultHook(latch.Hook());
   Client inflight_client = MakeClient(server.port());
   ASSERT_TRUE(inflight_client.Connect().ok());
   ASSERT_TRUE(inflight_client.Hello().ok());
@@ -158,13 +191,13 @@ TEST(DeadlineTest, DrainFinishesInflightAndRefusesNewWork) {
   exec.txn_type = "Withdraw_sav";
   exec.params = {{"i", 0}, {"w", 1}};
   ASSERT_TRUE(inflight_client.SendFrame(MsgType::kExec, exec.Encode()).ok());
-  for (int i = 0; i < 5000 && server.Metrics().inflight == 0; ++i) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
+  ASSERT_TRUE(latch.WaitParked()) << "the EXEC never reached its fsync";
+  ASSERT_EQ(server.Metrics().inflight, 1);
   server.RequestDrain();
 
   Result<TxnResult> refused =
       idle_client.RunTxn("Withdraw_sav", kNegotiateLevel, {{"i", 1}, {"w", 1}});
+  latch.Open();
   ASSERT_FALSE(refused.ok()) << "EXEC admitted during drain";
   EXPECT_NE(refused.status().ToString().find("draining"), std::string::npos)
       << refused.status().ToString();

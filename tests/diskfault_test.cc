@@ -151,7 +151,6 @@ std::unique_ptr<WriteAheadLog> MakeFaultyWal(World* world,
   *mem = inner.get();
   auto faulty = std::make_unique<FaultyDevice>(std::move(inner), plan);
   WalOptions opts;
-  opts.fsync = wal::FsyncPolicy::kPerCommit;
   opts.fsync_failure = policy;
   auto w = std::make_unique<WriteAheadLog>(std::move(faulty), &world->store,
                                            opts);

@@ -252,19 +252,20 @@ Client MakeClient(const Server& server) {
   return Client(copts);
 }
 
-/// Banking options whose commits each fsync a WAL (in a fresh directory
-/// under the test temp dir, per process) before they release their locks.
-/// A banking transaction otherwise finishes in a few microseconds, less
-/// than a worker takes to wake up, so one worker tends to drain the whole
-/// queue alone and EXECs from different sessions rarely overlap. The
-/// fsync keeps each EXEC on its worker, holding its locks, long enough
-/// that concurrent sessions reliably run into each other's locks.
+/// Banking options whose commits each wait for a WAL fsync (in a fresh
+/// directory under the test temp dir, per process). A banking transaction
+/// otherwise finishes in a few microseconds, less than a worker takes to
+/// wake up, so one worker tends to drain the whole queue alone and EXECs
+/// from different sessions rarely overlap. The fsync keeps each EXEC on its
+/// worker long enough that every worker is busy at once, so the EXECs that
+/// follow start together and run into each other's locks. (A commit
+/// releases its locks before it waits for the fsync.)
 ServerOptions FsyncingBankingOptions(const std::string& dir_name) {
   ServerOptions options = BankingOptions();
   options.wal_dir =
       ::testing::TempDir() + dir_name + "_" + std::to_string(::getpid());
   std::filesystem::remove_all(options.wal_dir);
-  options.wal_fsync = "per_commit";
+  options.wal_fsync = "group";
   return options;
 }
 
@@ -594,6 +595,22 @@ TEST(ServerTest, FailedStartClosesItsListener) {
   holder.Stop();
 }
 
+TEST(ServerTest, FailedBindNeverTouchesTheWalDirectory) {
+  // Start binds before it opens the WAL: a second server started on a taken
+  // port must fail without recovering, re-checkpointing or even creating a
+  // log, or a mistyped restart would atomically replace the log of the
+  // live server holding that port.
+  Server holder(BankingOptions());
+  ASSERT_TRUE(holder.Start().ok());
+  ServerOptions options = FsyncingBankingOptions("net_test_taken_port");
+  options.port = holder.port();
+  Server server(options);
+  EXPECT_FALSE(server.Start().ok());
+  EXPECT_FALSE(std::filesystem::exists(options.wal_dir + "/wal.log"));
+  std::filesystem::remove_all(options.wal_dir);
+  holder.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // EXEC: BEGIN, body and COMMIT in one round trip.
 // ---------------------------------------------------------------------------
@@ -784,13 +801,13 @@ TEST(ExecTest, UnknownTypeIsBadRequestAndLeaksNoSlot) {
 
 TEST(ExecTest, ConflictingExecsWaitServerSide) {
   // Every session hammers account 0 with the four banking types at
-  // REPEATABLE READ, pipelining a few EXECs per write, and each commit holds
-  // its locks across an fsync, so the EXECs overlap constantly: each
-  // withdrawal S-locks both balances and then upgrades one, the classic
-  // upgrade deadlock. The server waits out each conflict in the lock
-  // manager and the wait-for graph picks the deadlock victims. Every EXEC
-  // is answered, nothing is re-sent, and each abort a client sees is one
-  // deadlock the lock manager detected.
+  // REPEATABLE READ, pipelining a few EXECs per write, and each commit
+  // waits for an fsync that keeps its worker busy, so the EXECs overlap
+  // constantly: each withdrawal S-locks both balances and then upgrades
+  // one, the classic upgrade deadlock. The server waits out each conflict
+  // in the lock manager and the wait-for graph picks the deadlock victims.
+  // Every EXEC is answered, nothing is re-sent, and each abort a client
+  // sees is one deadlock the lock manager detected.
   ServerOptions options = FsyncingBankingOptions("net_test_conflicts");
   options.workers = 4;
   Server server(options);

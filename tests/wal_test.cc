@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,9 +175,7 @@ TEST(WalTest, RecoveryReplaysCommittedPrefixAndDiscardsLosers) {
   World world;
   auto device = std::make_unique<MemDevice>();
   MemDevice* mem = device.get();
-  WalOptions opts;
-  opts.fsync = wal::FsyncPolicy::kPerCommit;
-  WriteAheadLog wal(std::move(device), &world.store, opts);
+  WriteAheadLog wal(std::move(device), &world.store, WalOptions());
   world.mgr.SetWal(&wal);
 
   EXPECT_TRUE(CommitWrite(&world.mgr, IsoLevel::kSerializable, "x", 10));
@@ -204,7 +204,6 @@ TEST(WalTest, LsnAllocationSurvivesWrap) {
   auto device = std::make_unique<MemDevice>();
   MemDevice* mem = device.get();
   WalOptions opts;
-  opts.fsync = wal::FsyncPolicy::kPerCommit;
   opts.first_lsn = ~Lsn{0} - 2;  // a handful of appends crosses the wrap
   WriteAheadLog wal(std::move(device), &world.store, opts);
   world.mgr.SetWal(&wal);
@@ -236,7 +235,6 @@ TEST(WalTest, CheckpointTruncatesWithSpaceAndCounterAccounting) {
   auto device = std::make_unique<MemDevice>();
   MemDevice* mem = device.get();
   WalOptions opts;
-  opts.fsync = wal::FsyncPolicy::kPerCommit;
   opts.checkpoint_every_bytes = 0;  // manual
   WriteAheadLog wal(std::move(device), &world.store, opts);
   world.mgr.SetWal(&wal);
@@ -287,9 +285,7 @@ TEST(WalTest, CrashAtEverySiteRecoversCommitOrderPrefix) {
     World world;
     auto device = std::make_unique<MemDevice>();
     MemDevice* mem = device.get();
-    WalOptions opts;
-    opts.fsync = wal::FsyncPolicy::kPerCommit;
-    WriteAheadLog wal(std::move(device), &world.store, opts);
+    WriteAheadLog wal(std::move(device), &world.store, WalOptions());
     world.mgr.SetWal(&wal);
 
     EXPECT_TRUE(CommitWrite(&world.mgr, IsoLevel::kSerializable, "x", 1));
@@ -346,9 +342,7 @@ TEST(WalTest, CrashMidCheckpointKeepsOldLog) {
   World world;
   auto device = std::make_unique<MemDevice>();
   MemDevice* mem = device.get();
-  WalOptions opts;
-  opts.fsync = wal::FsyncPolicy::kPerCommit;
-  WriteAheadLog wal(std::move(device), &world.store, opts);
+  WriteAheadLog wal(std::move(device), &world.store, WalOptions());
   world.mgr.SetWal(&wal);
 
   EXPECT_TRUE(CommitWrite(&world.mgr, IsoLevel::kSerializable, "x", 5));
@@ -369,40 +363,88 @@ TEST(WalTest, CrashMidCheckpointKeepsOldLog) {
   world.mgr.SetWal(nullptr);
 }
 
-TEST(WalTest, GroupCommitAcksEveryCommitAndBatchesFsyncs) {
+/// A MemDevice whose Sync blocks until the test opens the gate, so one
+/// fsync can be held in progress while other committers queue behind it.
+class GatedDevice : public MemDevice {
+ public:
+  Status Sync() override {
+    {
+      std::unique_lock<std::mutex> lock(gate_mu_);
+      ++syncs_entered_;
+      gate_cv_.notify_all();
+      gate_cv_.wait(lock, [this] { return open_; });
+    }
+    return MemDevice::Sync();
+  }
+  void WaitForSyncs(int n) {
+    std::unique_lock<std::mutex> lock(gate_mu_);
+    gate_cv_.wait(lock, [&] { return syncs_entered_ >= n; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    open_ = true;
+    gate_cv_.notify_all();
+  }
+
+ private:
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;
+  int syncs_entered_ = 0;
+  bool open_ = false;
+};
+
+TEST(WalTest, CommittersQueuedBehindAnFsyncShareTheNextOne) {
   World world;
-  auto device = std::make_unique<MemDevice>();
-  WalOptions opts;
-  opts.fsync = wal::FsyncPolicy::kGroupCommit;
-  opts.group_commit_us = 200;
-  WriteAheadLog wal(std::move(device), &world.store, opts);
-  wal.Start();
+  auto device = std::make_unique<GatedDevice>();
+  GatedDevice* gated = device.get();
+  WriteAheadLog wal(std::move(device), &world.store, WalOptions());
   world.mgr.SetWal(&wal);
 
-  constexpr int kThreads = 3;
-  constexpr int kCommits = 5;
-  std::vector<int> acked(kThreads, 0);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      const std::string item = t % 2 == 0 ? "x" : "y";
-      for (int i = 0; i < kCommits; ++i) {
-        if (CommitWrite(&world.mgr, IsoLevel::kSerializable, item, i)) {
-          ++acked[t];
-        }
-      }
-    });
+  constexpr int kCommitters = 4;
+  std::vector<std::string> items;
+  for (int t = 0; t < kCommitters; ++t) {
+    items.push_back("z" + std::to_string(t));
+    ASSERT_TRUE(world.store.CreateItem(items.back(), Value::Int(0)).ok());
   }
+  std::vector<int> acked(kCommitters, 0);
+  auto commit = [&](int t) {
+    acked[t] = CommitWrite(&world.mgr, IsoLevel::kSerializable, items[t], 1);
+  };
+  // The first committer's fsync starts and is held; every later committer
+  // appends its commit record and queues behind it.
+  std::vector<std::thread> pool;
+  pool.emplace_back(commit, 0);
+  gated->WaitForSyncs(1);
+  for (int t = 1; t < kCommitters; ++t) pool.emplace_back(commit, t);
+  while (wal.stats().commits_logged < kCommitters) std::this_thread::yield();
+  gated->Open();
   for (std::thread& t : pool) t.join();
-  world.mgr.SetWal(nullptr);
-  wal.Stop();
 
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(acked[t], kCommits);
+  // The held fsync covers only the first commit; whichever queued committer
+  // syncs next covers the other three, and the rest find themselves
+  // covered.
+  for (int t = 0; t < kCommitters; ++t) EXPECT_EQ(acked[t], 1) << t;
   const wal::WalStats stats = wal.stats();
-  EXPECT_EQ(stats.commits_logged, static_cast<uint64_t>(kThreads * kCommits));
-  EXPECT_EQ(stats.batch_commits, stats.commits_logged);
-  EXPECT_GE(stats.group_commit_batches, 1u);
-  EXPECT_GE(stats.MeanBatchSize(), 1.0);
+  EXPECT_EQ(stats.fsyncs, 2u);
+  EXPECT_EQ(stats.group_commit_batches, 2u);
+  EXPECT_EQ(stats.batch_commits, static_cast<uint64_t>(kCommitters));
+  world.mgr.SetWal(nullptr);
+}
+
+TEST(WalTest, LoneCommitterSyncsOncePerCommit) {
+  World world;
+  WriteAheadLog wal(std::make_unique<MemDevice>(), &world.store, WalOptions());
+  world.mgr.SetWal(&wal);
+  constexpr uint64_t kCommits = 5;
+  for (uint64_t i = 1; i <= kCommits; ++i) {
+    EXPECT_TRUE(CommitWrite(&world.mgr, IsoLevel::kSerializable, "x",
+                            static_cast<int64_t>(i)));
+    const wal::WalStats stats = wal.stats();
+    EXPECT_EQ(stats.fsyncs, i);
+    EXPECT_EQ(stats.group_commit_batches, i);
+  }
+  EXPECT_EQ(wal.stats().MeanBatchSize(), 1.0);
+  world.mgr.SetWal(nullptr);
 }
 
 TEST(WalTest, OpenDirRecoversAcrossProcessRestart) {
@@ -410,7 +452,6 @@ TEST(WalTest, OpenDirRecoversAcrossProcessRestart) {
   // TempDir survives across test-binary runs: start from an empty log.
   std::remove((dir + "/wal.log").c_str());
   WalOptions opts;
-  opts.fsync = wal::FsyncPolicy::kPerCommit;
   {
     World world;
     RecoveryResult rec;
