@@ -16,7 +16,12 @@
 // sweep on the work-stealing pool (informative only: single-core CI boxes
 // cannot show wall-clock speedup, so we report host parallelism rather
 // than asserting on it).
+//
+// A second table times the startup sweep a server pays before it accepts a
+// client (Server::Start: a fresh serial IncrementalAdvisor, AdviseAll) on
+// the shipped workloads and two TPC-C scales. It is reported, not gated.
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -24,6 +29,7 @@
 #include "common/cli.h"
 #include "sem/check/incremental.h"
 #include "sem/check/suitegen.h"
+#include "workload/workload.h"
 
 namespace semcor {
 namespace {
@@ -72,6 +78,20 @@ SweepResult RunSweep(int k, uint64_t seed, int threads) {
   r.invalidated = after_incr.invalidated;
   r.memo = advisor.memo()->Stats();
   return r;
+}
+
+/// Wall times, sorted, of `runs` startup sweeps of `app`, each on a fresh
+/// advisor (nothing is shared between runs, as between two server starts).
+std::vector<double> TimeStartupSweeps(const Application& app, int runs) {
+  std::vector<double> ms;
+  for (int i = 0; i < runs; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    IncrementalAdvisor advisor(app, IncrementalOptions{});
+    advisor.AdviseAll();
+    ms.push_back(MsSince(start));
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms;
 }
 
 }  // namespace
@@ -141,6 +161,28 @@ int main(int argc, char** argv) {
   json.Scalar("parallel_threads", static_cast<long>(par_threads));
   json.Scalar("parallel_k", static_cast<long>(par_k));
   json.Scalar("parallel_cold_ms", par_ms);
+
+  // Startup sweeps: what Server::Start spends in the §5 analysis.
+  constexpr int kSweepRuns = 5;
+  std::printf("\nstartup sweep (fresh serial advisor, AdviseAll; %d runs):\n",
+              kSweepRuns);
+  const std::pair<const char*, Workload> workloads[] = {
+      {"banking", MakeBankingWorkload()},
+      {"payroll", MakePayrollWorkload()},
+      {"mailing", MakeMailingWorkload()},
+      {"orders", MakeOrdersWorkload(false)},
+      {"orders_unique", MakeOrdersWorkload(true)},
+      {"tpcc(2,2,8,16)", MakeTpccWorkload(2, 2, 8, 16)},
+      {"tpcc(4,4,16,64)", MakeTpccWorkload(4, 4, 16, 64)},
+  };
+  bench::Table sweeps({"workload", "types", "min (ms)", "median (ms)"});
+  for (const auto& [name, w] : workloads) {
+    const std::vector<double> ms = TimeStartupSweeps(w.app, kSweepRuns);
+    sweeps.AddRow({name, std::to_string(w.app.types.size()),
+                   bench::Fmt(ms.front()), bench::Fmt(ms[ms.size() / 2])});
+  }
+  sweeps.Print();
+  json.AddTable("startup_sweep", sweeps);
 
   json.Scalar("types", static_cast<long>(big_k));
   json.Scalar("cold_ms", big.cold_ms);

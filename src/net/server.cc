@@ -23,13 +23,6 @@ namespace {
 /// The retry hint a BUSY frame carries.
 constexpr uint32_t kBusyRetryAfterMs = 5;
 
-/// A session stops being read while its outbox holds more than this, and
-/// resumes once TryFlush drains it back under: a client that pipelines
-/// frames and never reads its answers cannot grow server memory without
-/// limit. One read past the bound (4 KiB of frames) is the most it can
-/// overshoot by, plus one answer per frame already queued for a worker.
-constexpr size_t kMaxOutboxBytes = 1 << 20;
-
 Status Errno(const char* what) {
   return Status::Internal(StrCat(what, ": ", std::strerror(errno)));
 }
@@ -322,6 +315,11 @@ void Server::OnAccept() {
     SetNonBlocking(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // A fixed send buffer instead of the kernel's autotuning (up to
+    // tcp_wmem's max): what a non-reading client can park in the kernel is
+    // then bounded too.
+    const int sndbuf = kSessionSendBufferBytes;
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
     auto session = std::make_shared<Session>();
     session->fd = fd;
     session->id = next_session_id_++;

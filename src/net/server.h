@@ -26,6 +26,18 @@
 
 namespace semcor::net {
 
+/// A session stops being read while its outbox holds more than this, and
+/// resumes once TryFlush drains it back under: a client that pipelines
+/// frames and never reads its answers cannot grow server memory without
+/// limit. One read past the bound (4 KiB of frames) is the most it can
+/// overshoot by, plus one answer per frame already queued for a worker.
+inline constexpr size_t kMaxOutboxBytes = 1 << 20;
+
+/// SO_SNDBUF of every accepted socket. Linux doubles the value it is given
+/// for its own bookkeeping, so a session's answers parked in the kernel are
+/// at most twice this.
+inline constexpr int kSessionSendBufferBytes = 256 << 10;
+
 struct ServerOptions {
   std::string workload = "banking";  ///< banking|payroll|orders|orders_unique|tpcc
   /// TPC-C sizing (used only when workload == "tpcc"): warehouses plus the

@@ -18,7 +18,10 @@ IncrementalAdvisor::IncrementalAdvisor(const Application& app,
                                        IncrementalOptions options)
     : options_(WithMemo(std::move(options))),
       memo_(options_.advisor.check.decide.memo),
-      engine_(app, options_.advisor.check) {}
+      engine_(app, options_.advisor.check) {
+  std::lock_guard<std::mutex> lock(mu_);
+  SyncOrderLocked();
+}
 
 void IncrementalAdvisor::RegisterType(const TransactionType& type) {
   const uint64_t before = engine_.TypeFingerprint(type.name);
@@ -28,29 +31,62 @@ void IncrementalAdvisor::RegisterType(const TransactionType& type) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   InvalidateTypeLocked(type.name);
+  SyncOrderLocked();
 }
 
 bool IncrementalAdvisor::RemoveType(const std::string& name) {
   if (!engine_.RemoveType(name)) return false;
   std::lock_guard<std::mutex> lock(mu_);
   InvalidateTypeLocked(name);
+  SyncOrderLocked();
   return true;
 }
 
-void IncrementalAdvisor::InvalidateTypeLocked(const std::string& name) {
-  auto it = involving_.find(name);
-  if (it == involving_.end()) return;
-  for (const CacheKey& key : it->second) {
-    stats_.invalidated += static_cast<int64_t>(cache_.erase(key));
+size_t IncrementalAdvisor::SlotLocked(const std::string& name) {
+  auto [it, inserted] = slot_of_.emplace(name, slot_of_.size());
+  if (inserted) cache_.resize(slot_of_.size());
+  return it->second;
+}
+
+void IncrementalAdvisor::SyncOrderLocked() {
+  const std::vector<std::string>& names = engine_.TypeNames();
+  order_slots_.resize(names.size());
+  order_fps_.resize(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    order_slots_[i] = SlotLocked(names[i]);
+    order_fps_[i] = engine_.TypeFingerprint(names[i]);
   }
-  involving_.erase(it);
+}
+
+void IncrementalAdvisor::InvalidateTypeLocked(const std::string& name) {
+  auto it = slot_of_.find(name);
+  if (it == slot_of_.end()) return;
+  const size_t slot = it->second;
+  auto drop = [this](CacheEntry* entry) {
+    if (entry->report == nullptr) return;
+    *entry = CacheEntry();
+    ++stats_.invalidated;
+  };
+  for (std::vector<CacheEntry>& row : cache_[slot]) {
+    for (CacheEntry& entry : row) drop(&entry);  // as target
+  }
+  for (TargetRows& target : cache_) {
+    for (std::vector<CacheEntry>& row : target) {
+      if (slot < row.size()) drop(&row[slot]);  // as the other side
+    }
+  }
 }
 
 void IncrementalAdvisor::InvalidateAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.invalidated += static_cast<int64_t>(cache_.size());
-  cache_.clear();
-  involving_.clear();
+  for (TargetRows& target : cache_) {
+    for (std::vector<CacheEntry>& row : target) {
+      for (const CacheEntry& entry : row) {
+        if (entry.report != nullptr) ++stats_.invalidated;
+      }
+      row.clear();
+    }
+  }
 }
 
 IncrementalStats IncrementalAdvisor::stats() const {
@@ -61,42 +97,41 @@ IncrementalStats IncrementalAdvisor::stats() const {
 LevelCheckReport IncrementalAdvisor::CheckLevel(const std::string& type_name,
                                                 IsoLevel level,
                                                 bool parallel_pairs) {
-  // Copy: TypeNames() may be re-read concurrently by sibling Advise calls
-  // (registration is excluded while checks run, but iterator stability of
-  // the local list keeps the indexing below simple).
-  const std::vector<std::string> types = engine_.TypeNames();
+  // Registration is excluded while checks run, so the engine's type order
+  // and the mirrored slots and fingerprints are stable for this call.
+  const std::vector<std::string>& types = engine_.TypeNames();
   const uint64_t target_fp = engine_.TypeFingerprint(type_name);
+  const int level_index = static_cast<int>(level);
 
   std::vector<std::shared_ptr<const LevelCheckReport>> parts(types.size());
   std::vector<size_t> missing;
+  size_t target = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    target = SlotLocked(type_name);
+    std::vector<CacheEntry>& row = cache_[target][level_index];
+    if (row.size() < slot_of_.size()) row.resize(slot_of_.size());
     for (size_t i = 0; i < types.size(); ++i) {
-      const CacheKey key{type_name, level, types[i]};
-      auto it = cache_.find(key);
-      if (it != cache_.end() && it->second.target_fp == target_fp &&
-          it->second.other_fp == engine_.TypeFingerprint(types[i])) {
-        parts[i] = it->second.report;
-        ++stats_.pair_hits;
+      const CacheEntry& entry = row[order_slots_[i]];
+      if (entry.report != nullptr && entry.target_fp == target_fp &&
+          entry.other_fp == order_fps_[i]) {
+        parts[i] = entry.report;
       } else {
         missing.push_back(i);
       }
     }
+    stats_.pair_hits += static_cast<int64_t>(types.size() - missing.size());
   }
 
   auto compute = [&](size_t i) {
     auto report = std::make_shared<const LevelCheckReport>(
         engine_.CheckPairAtLevel(type_name, level, types[i]));
-    const CacheKey key{type_name, level, types[i]};
-    CacheEntry entry;
-    entry.target_fp = target_fp;
-    entry.other_fp = engine_.TypeFingerprint(types[i]);
-    entry.report = report;
     parts[i] = report;
     std::lock_guard<std::mutex> lock(mu_);
-    cache_[key] = std::move(entry);
-    involving_[key.target].insert(key);
-    involving_[key.other].insert(key);
+    CacheEntry& entry = cache_[target][level_index][order_slots_[i]];
+    entry.target_fp = target_fp;
+    entry.other_fp = order_fps_[i];
+    entry.report = std::move(report);
     ++stats_.pair_checks;
   };
 

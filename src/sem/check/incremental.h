@@ -1,11 +1,11 @@
 #ifndef SEMCOR_SEM_CHECK_INCREMENTAL_H_
 #define SEMCOR_SEM_CHECK_INCREMENTAL_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -49,6 +49,9 @@ struct IncrementalOptions {
 /// Cache entries additionally record both types' content fingerprints
 /// (TheoremEngine::TypeFingerprint) and are revalidated on lookup, so a
 /// RegisterType that re-registers an identical type invalidates nothing.
+/// Every registration goes through this class, which mirrors the engine's
+/// type order and fingerprints next to the cache: a cache hit is a few
+/// vector indexings, with no type name copied, compared or looked up.
 class IncrementalAdvisor {
  public:
   IncrementalAdvisor(const Application& app, IncrementalOptions options);
@@ -78,30 +81,29 @@ class IncrementalAdvisor {
   }
   IncrementalStats stats() const;
   std::shared_ptr<DecisionMemo> memo() const { return memo_; }
-  TheoremEngine& engine() { return engine_; }
 
  private:
-  struct CacheKey {
-    std::string target;
-    IsoLevel level;
-    std::string other;
-
-    bool operator<(const CacheKey& k) const {
-      if (target != k.target) return target < k.target;
-      if (level != k.level) return level < k.level;
-      return other < k.other;
-    }
-  };
   struct CacheEntry {
     uint64_t target_fp = 0;
     uint64_t other_fp = 0;
-    std::shared_ptr<const LevelCheckReport> report;
+    std::shared_ptr<const LevelCheckReport> report;  ///< null: no entry
   };
+  /// One target type's cached pair reports: [level][other type's slot].
+  using TargetRows = std::array<std::vector<CacheEntry>, kIsoLevelCount>;
 
   /// Installs a freshly allocated shared DecisionMemo when the caller did
   /// not provide one (and share_memo is set). Must not touch members: it
   /// runs in the init list before they are constructed.
   static IncrementalOptions WithMemo(IncrementalOptions options);
+
+  /// Slot of `name`, assigning the next free one on first sight. A slot is
+  /// never reused for another name, so a removed type that comes back finds
+  /// its (already invalidated) row and column again.
+  size_t SlotLocked(const std::string& name);
+
+  /// Re-reads the engine's type order and fingerprints after a registration
+  /// or removal, so a pair lookup is two vector indexings.
+  void SyncOrderLocked();
 
   /// Drops every cache entry that mentions `name`; counts invalidations.
   void InvalidateTypeLocked(const std::string& name);
@@ -117,12 +119,13 @@ class IncrementalAdvisor {
   std::shared_ptr<DecisionMemo> memo_;
   TheoremEngine engine_;
 
-  mutable std::mutex mu_;  ///< guards cache_, involving_, stats_
-  std::map<CacheKey, CacheEntry> cache_;
-  /// Which cache keys mention each type (targets O(K) invalidation).
-  /// May retain keys already erased via the opposite type; erase is
-  /// idempotent so stale keys are harmless.
-  std::map<std::string, std::set<CacheKey>> involving_;
+  /// Guards everything below. The cache is indexed by slots, not names:
+  /// cache_[target slot][level][other slot].
+  mutable std::mutex mu_;
+  std::map<std::string, size_t> slot_of_;
+  std::vector<size_t> order_slots_;  ///< slot of TypeNames()[i]
+  std::vector<uint64_t> order_fps_;  ///< TypeFingerprint(TypeNames()[i])
+  std::vector<TargetRows> cache_;
   IncrementalStats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "sem/check/theorems.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/str_util.h"
 #include "sem/check/wp.h"
@@ -326,19 +327,43 @@ const std::vector<TxnProgram>& TheoremEngine::TargetInstances(
   return target_cache_.emplace(type_name, std::move(out)).first->second;
 }
 
-LevelCheckReport TheoremEngine::Merge(std::vector<LevelCheckReport> parts,
-                                      const std::string& type_name,
-                                      IsoLevel level) {
+namespace {
+
+const LevelCheckReport& Deref(const LevelCheckReport& r) { return r; }
+const LevelCheckReport& Deref(
+    const std::shared_ptr<const LevelCheckReport>& r) {
+  return *r;
+}
+
+/// Merge's header and verdict, with the obligation list sized once for the
+/// concatenation that follows.
+template <typename Part>
+LevelCheckReport MergeSkeleton(const std::vector<Part>& parts,
+                               const std::string& type_name, IsoLevel level) {
   LevelCheckReport merged;
   merged.txn_type = type_name;
   merged.level = level;
   merged.correct = !parts.empty();
+  size_t obligations = 0;
+  for (const Part& part : parts) {
+    merged.correct = merged.correct && Deref(part).correct;
+    merged.triples_checked += Deref(part).triples_checked;
+    obligations += Deref(part).obligations.size();
+  }
+  merged.obligations.reserve(obligations);
+  return merged;
+}
+
+}  // namespace
+
+LevelCheckReport TheoremEngine::Merge(std::vector<LevelCheckReport> parts,
+                                      const std::string& type_name,
+                                      IsoLevel level) {
+  LevelCheckReport merged = MergeSkeleton(parts, type_name, level);
   for (LevelCheckReport& part : parts) {
-    merged.correct = merged.correct && part.correct;
-    merged.triples_checked += part.triples_checked;
     merged.obligations.insert(merged.obligations.end(),
-                              part.obligations.begin(),
-                              part.obligations.end());
+                              std::make_move_iterator(part.obligations.begin()),
+                              std::make_move_iterator(part.obligations.end()));
   }
   return merged;
 }
@@ -346,13 +371,8 @@ LevelCheckReport TheoremEngine::Merge(std::vector<LevelCheckReport> parts,
 LevelCheckReport TheoremEngine::Merge(
     const std::vector<std::shared_ptr<const LevelCheckReport>>& parts,
     const std::string& type_name, IsoLevel level) {
-  LevelCheckReport merged;
-  merged.txn_type = type_name;
-  merged.level = level;
-  merged.correct = !parts.empty();
+  LevelCheckReport merged = MergeSkeleton(parts, type_name, level);
   for (const auto& part : parts) {
-    merged.correct = merged.correct && part->correct;
-    merged.triples_checked += part->triples_checked;
     merged.obligations.insert(merged.obligations.end(),
                               part->obligations.begin(),
                               part->obligations.end());

@@ -1,6 +1,10 @@
 #include "sem/logic/falsifier.h"
 
+#include <algorithm>
+#include <set>
+
 #include "common/rng.h"
+#include "common/str_util.h"
 
 namespace semcor {
 
@@ -145,6 +149,85 @@ Value RandomValue(Value::Type type, Rng* rng, const FalsifierOptions& options) {
   }
 }
 
+/// FindModel's one evaluation state per call: every free variable and
+/// every scanned table is laid out once, and each attempt overwrites the
+/// values in place. A table with a known shape is a pool of `max_rows`
+/// tuples whose attribute keys never change, of which the first `live` rows
+/// are visible to scans.
+class ModelState : public EvalContext {
+ public:
+  struct Table {
+    std::string name;
+    const TableShape* shape = nullptr;  ///< null: unknown, always empty
+    std::vector<Tuple> rows;            ///< the pool, max_rows tuples
+    /// slots[r][a]: row r's value for shape->attrs[a] (a repeated attribute
+    /// name shares one slot, as a map-built tuple keeps the last write).
+    std::vector<std::vector<Value*>> slots;
+    size_t live = 0;
+  };
+
+  ModelState(const std::vector<VarRef>& vars,
+             const std::set<std::string>& table_names,
+             const SchemaShapes& shapes, int max_rows) {
+    for (const VarRef& v : vars) vars_.emplace_back(v, Value());
+    tables_.reserve(table_names.size());
+    for (const std::string& name : table_names) {
+      Table& table = tables_.emplace_back();
+      table.name = name;
+      auto it = shapes.find(name);
+      if (it == shapes.end()) continue;
+      table.shape = &it->second;
+      table.rows.resize(static_cast<size_t>(std::max(max_rows, 0)));
+      for (Tuple& row : table.rows) {
+        std::vector<Value*>& slots = table.slots.emplace_back();
+        for (const auto& [attr, type] : table.shape->attrs) {
+          slots.push_back(&row[attr]);
+        }
+      }
+    }
+  }
+  // `slots` points into this object's own tuples.
+  ModelState(const ModelState&) = delete;
+  ModelState& operator=(const ModelState&) = delete;
+
+  Value& var_value(size_t i) { return vars_[i].second; }
+  std::vector<Table>& tables() { return tables_; }
+
+  Result<Value> GetVar(const VarRef& var) const override {
+    for (const auto& [ref, value] : vars_) {
+      if (ref == var) return value;
+    }
+    return Status::NotFound(StrCat("unbound variable ", var.ToString()));
+  }
+
+  Status ScanTable(const std::string& name,
+                   const std::function<void(const Tuple&)>& fn) const override {
+    for (const Table& table : tables_) {
+      if (table.name != name) continue;
+      for (size_t r = 0; r < table.live; ++r) fn(table.rows[r]);
+      return Status::Ok();
+    }
+    return Status::NotFound(StrCat("no table ", name));
+  }
+
+  /// The current state as a standalone context (only for a returned model).
+  MapEvalContext ToMapContext() const {
+    MapEvalContext ctx;
+    for (const auto& [ref, value] : vars_) ctx.Set(ref, value);
+    for (const Table& table : tables_) {
+      ctx.MutableTable(table.name);
+      for (size_t r = 0; r < table.live; ++r) {
+        ctx.AddTuple(table.name, table.rows[r]);
+      }
+    }
+    return ctx;
+  }
+
+ private:
+  std::vector<std::pair<VarRef, Value>> vars_;
+  std::vector<Table> tables_;
+};
+
 }  // namespace
 
 std::map<VarRef, Value::Type> InferVarTypes(const Expr& e) {
@@ -153,18 +236,24 @@ std::map<VarRef, Value::Type> InferVarTypes(const Expr& e) {
   return types;
 }
 
+std::map<VarRef, Value::Type> ModelVarTypes(const Expr& constraint,
+                                            const SchemaShapes& shapes,
+                                            const FalsifierOptions& options) {
+  std::map<VarRef, Value::Type> types = options.var_types;
+  std::map<VarRef, Value::Type> inferred;
+  InferFromComparisons(constraint, &shapes, &inferred);
+  InferFromAttrComparisons(constraint, "", shapes, &inferred);
+  InferBoolPositions(constraint, true, &inferred);
+  for (const auto& [v, t] : inferred) types.emplace(v, t);
+  return types;
+}
+
 std::optional<MapEvalContext> FindModel(const Expr& constraint,
                                         const SchemaShapes& shapes,
                                         const FalsifierOptions& options) {
   FreeVars fv = CollectFreeVars(constraint);
-  std::map<VarRef, Value::Type> types = options.var_types;
-  {
-    std::map<VarRef, Value::Type> inferred;
-    InferFromComparisons(constraint, &shapes, &inferred);
-    InferFromAttrComparisons(constraint, "", shapes, &inferred);
-    InferBoolPositions(constraint, true, &inferred);
-    for (const auto& [v, t] : inferred) types.emplace(v, t);
-  }
+  const std::map<VarRef, Value::Type> types =
+      ModelVarTypes(constraint, shapes, options);
   auto type_of = [&](const VarRef& v) {
     auto it = types.find(v);
     return it == types.end() ? Value::Type::kInt : it->second;
@@ -176,29 +265,29 @@ std::optional<MapEvalContext> FindModel(const Expr& constraint,
   for (const std::string& n : fv.logicals) {
     vars.push_back({VarKind::kLogical, n});
   }
+  std::vector<Value::Type> var_types;
+  var_types.reserve(vars.size());
+  for (const VarRef& v : vars) var_types.push_back(type_of(v));
 
+  ModelState state(vars, fv.tables, shapes, options.max_rows);
   Rng rng(options.seed);
   for (int attempt = 0; attempt < options.attempts; ++attempt) {
-    MapEvalContext ctx;
-    for (const VarRef& v : vars) {
-      ctx.Set(v, RandomValue(type_of(v), &rng, options));
+    for (size_t i = 0; i < vars.size(); ++i) {
+      state.var_value(i) = RandomValue(var_types[i], &rng, options);
     }
-    for (const std::string& table : fv.tables) {
-      auto it = shapes.find(table);
-      // Unknown shape: provide an empty table so scans succeed.
-      ctx.MutableTable(table);
-      if (it == shapes.end()) continue;
-      const int rows = static_cast<int>(rng.Uniform(0, options.max_rows));
-      for (int r = 0; r < rows; ++r) {
-        Tuple t;
-        for (const auto& [attr, type] : it->second.attrs) {
-          t[attr] = RandomValue(type, &rng, options);
+    for (ModelState::Table& table : state.tables()) {
+      // Unknown shape: the table stays empty so scans succeed.
+      if (table.shape == nullptr) continue;
+      table.live = static_cast<size_t>(rng.Uniform(0, options.max_rows));
+      for (size_t r = 0; r < table.live; ++r) {
+        for (size_t a = 0; a < table.shape->attrs.size(); ++a) {
+          *table.slots[r][a] =
+              RandomValue(table.shape->attrs[a].second, &rng, options);
         }
-        ctx.AddTuple(table, std::move(t));
       }
     }
-    Result<bool> holds = EvalBool(constraint, ctx);
-    if (holds.ok() && holds.value()) return ctx;
+    Result<bool> holds = EvalBool(constraint, state);
+    if (holds.ok() && holds.value()) return state.ToMapContext();
   }
   return std::nullopt;
 }

@@ -38,9 +38,23 @@ struct FalsifierOptions {
 /// contents) that satisfies `constraint`. Returns the witnessing context if
 /// found. Sound for refutation (the returned state genuinely satisfies the
 /// formula); incomplete (absence of a model is not proof of unsat).
+///
+/// Each attempt draws, from one Rng seeded with `options.seed`, a value for
+/// every free variable (db, then locals, then logicals, each in name order,
+/// typed by ModelVarTypes) and then, for every scanned table in name order
+/// whose shape is known, a row count in [0, max_rows] and each row's
+/// attributes in shape order. A table with no known shape stays empty.
 std::optional<MapEvalContext> FindModel(const Expr& constraint,
                                         const SchemaShapes& shapes,
                                         const FalsifierOptions& options);
+
+/// The type FindModel draws for each free variable: `options.var_types`,
+/// then types inferred from comparisons (against literals and against
+/// table attributes) and from boolean positions. Unlisted variables are
+/// ints.
+std::map<VarRef, Value::Type> ModelVarTypes(const Expr& constraint,
+                                            const SchemaShapes& shapes,
+                                            const FalsifierOptions& options);
 
 /// Infers a plausible type for every free scalar variable of `e` from the
 /// comparisons it appears in. Defaults to int.

@@ -237,65 +237,110 @@ bool FmProvesUnsat(std::vector<LinearConstraint> constraints,
   }
 }
 
-bool FindIntegerWitness(const std::vector<LinearConstraint>& constraints,
-                        int64_t bound, int64_t max_nodes,
-                        std::map<VarRef, int64_t>* witness) {
-  // Gather variables in deterministic order.
-  std::vector<VarRef> vars;
-  for (const LinearConstraint& c : constraints) {
-    for (const auto& [v, k] : c.term.coeffs) {
-      if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
-        vars.push_back(v);
-      }
-    }
-  }
-  // checkable_at[i]: constraints whose variables are all among vars[0..i].
-  std::vector<std::vector<const LinearConstraint*>> checkable_at(
-      vars.size() + 1);
-  for (const LinearConstraint& c : constraints) {
-    size_t last = 0;
-    for (const auto& [v, k] : c.term.coeffs) {
-      const size_t idx =
-          std::find(vars.begin(), vars.end(), v) - vars.begin();
-      last = std::max(last, idx + 1);
-    }
-    checkable_at[last].push_back(&c);
-  }
-  // Constant constraints must hold outright.
-  for (const LinearConstraint* c : checkable_at[0]) {
-    if (!ConstantHolds(*c)) return false;
-  }
+namespace {
 
-  std::map<VarRef, int64_t> assign;
+/// A constraint resolved against the witness search's variable order: its
+/// terms as (variable index, coefficient) pairs in the constraint's own
+/// (VarRef) order, so evaluation sums exactly as LinearConstraint::Holds.
+struct DenseConstraint {
+  std::vector<std::pair<size_t, int64_t>> terms;
+  int64_t konst = 0;
+  LinRel rel = LinRel::kLe;
+
+  bool Holds(const std::vector<int64_t>& assign) const {
+    int64_t v = konst;
+    for (const auto& [index, c] : terms) v += c * assign[index];
+    switch (rel) {
+      case LinRel::kLe:
+        return v <= 0;
+      case LinRel::kLt:
+        return v < 0;
+      case LinRel::kEq:
+        return v == 0;
+    }
+    return false;
+  }
+};
+
+/// Depth-first search over a dense assignment vector. `checkable_at[i]`
+/// lists the constraints whose variables are all among vars[0..i-1], so
+/// they are checked as soon as vars[i-1] is assigned.
+struct WitnessSearch {
+  const std::vector<std::vector<DenseConstraint>>& checkable_at;
+  std::vector<int64_t> assign;
+  int64_t bound = 0;
+  int64_t max_nodes = 0;
   int64_t nodes = 0;
+
   // Value enumeration: 0, 1, -1, 2, -2, ... (small magnitudes first).
-  auto value_at = [&](int64_t step) -> int64_t {
+  static int64_t ValueAt(int64_t step) {
     if (step == 0) return 0;
     const int64_t mag = (step + 1) / 2;
     return (step % 2 == 1) ? mag : -mag;
-  };
+  }
 
-  std::function<bool(size_t)> dfs = [&](size_t i) -> bool {
-    if (i == vars.size()) {
-      *witness = assign;
-      return true;
-    }
+  bool Dfs(size_t i) {
+    if (i == assign.size()) return true;
     for (int64_t step = 0; step <= 2 * bound; ++step) {
       if (++nodes > max_nodes) return false;
-      assign[vars[i]] = value_at(step);
+      assign[i] = ValueAt(step);
       bool ok = true;
-      for (const LinearConstraint* c : checkable_at[i + 1]) {
-        if (!c->Holds(assign)) {
+      for (const DenseConstraint& c : checkable_at[i + 1]) {
+        if (!c.Holds(assign)) {
           ok = false;
           break;
         }
       }
-      if (ok && dfs(i + 1)) return true;
+      if (ok && Dfs(i + 1)) return true;
     }
-    assign.erase(vars[i]);
     return false;
-  };
-  return dfs(0);
+  }
+};
+
+}  // namespace
+
+bool FindIntegerWitness(const std::vector<LinearConstraint>& constraints,
+                        int64_t bound, int64_t max_nodes,
+                        std::map<VarRef, int64_t>* witness,
+                        int64_t* nodes) {
+  if (nodes != nullptr) *nodes = 0;
+  // Gather variables in deterministic (first-occurrence) order, resolving
+  // each constraint's terms to variable indices on the way.
+  std::vector<VarRef> vars;
+  std::vector<DenseConstraint> dense(constraints.size());
+  std::vector<size_t> last(constraints.size(), 0);
+  for (size_t ci = 0; ci < constraints.size(); ++ci) {
+    const LinearConstraint& c = constraints[ci];
+    dense[ci].konst = c.term.konst;
+    dense[ci].rel = c.rel;
+    dense[ci].terms.reserve(c.term.coeffs.size());
+    for (const auto& [v, k] : c.term.coeffs) {
+      size_t idx = std::find(vars.begin(), vars.end(), v) - vars.begin();
+      if (idx == vars.size()) vars.push_back(v);
+      dense[ci].terms.emplace_back(idx, k);
+      last[ci] = std::max(last[ci], idx + 1);
+    }
+  }
+  // checkable_at[i]: constraints whose variables are all among vars[0..i).
+  std::vector<std::vector<DenseConstraint>> checkable_at(vars.size() + 1);
+  for (size_t ci = 0; ci < constraints.size(); ++ci) {
+    checkable_at[last[ci]].push_back(std::move(dense[ci]));
+  }
+  // Constant constraints must hold outright.
+  for (const DenseConstraint& c : checkable_at[0]) {
+    if (!c.Holds({})) return false;
+  }
+
+  WitnessSearch search{checkable_at, std::vector<int64_t>(vars.size(), 0),
+                       bound, max_nodes};
+  const bool found = search.Dfs(0);
+  if (nodes != nullptr) *nodes = search.nodes;
+  if (!found) return false;
+  witness->clear();
+  for (size_t i = 0; i < vars.size(); ++i) {
+    witness->emplace(vars[i], search.assign[i]);
+  }
+  return true;
 }
 
 }  // namespace semcor

@@ -23,10 +23,14 @@ bool FmProvesUnsat(std::vector<LinearConstraint> constraints,
 /// Searches for an integer assignment in [-bound, bound]^n satisfying all
 /// constraints, by depth-first search with per-variable pruning. Complete
 /// within the box; returns false if no boxed witness exists (the system may
-/// still be satisfiable outside the box). `max_nodes` caps the search.
+/// still be satisfiable outside the box). `max_nodes` caps the search;
+/// `nodes`, when given, receives the number of assignments tried. Variables
+/// are ordered by first occurrence and each takes 0, 1, -1, 2, -2, ... in
+/// turn. `witness` is written only when one is found.
 bool FindIntegerWitness(const std::vector<LinearConstraint>& constraints,
                         int64_t bound, int64_t max_nodes,
-                        std::map<VarRef, int64_t>* witness);
+                        std::map<VarRef, int64_t>* witness,
+                        int64_t* nodes = nullptr);
 
 }  // namespace semcor
 

@@ -46,15 +46,11 @@ Result<Value> Store::ReadItemInternal(const std::string& name,
   if (ts == kLatest || ts == kCommitted) {
     return entry.versions.back().value;
   }
-  const Value* visible = nullptr;
-  for (const ItemVersion& v : entry.versions) {
-    if (v.commit_ts > ts) break;
-    visible = &v.value;
-  }
+  const ItemVersion* visible = NewestVisible(entry.versions, ts);
   if (visible == nullptr) {
     return Status::NotFound(StrCat("item ", name, " invisible at ts ", ts));
   }
-  return *visible;
+  return visible->value;
 }
 
 Result<Value> Store::ReadItemLatest(const std::string& name) const {

@@ -13,12 +13,8 @@ const std::optional<Tuple>* RowEntry::LatestCommitted() const {
 }
 
 const std::optional<Tuple>* RowEntry::AtSnapshot(Timestamp ts) const {
-  const std::optional<Tuple>* visible = nullptr;
-  for (const RowVersion& v : versions) {
-    if (v.commit_ts > ts) break;
-    visible = &v.tuple;
-  }
-  return visible;
+  const RowVersion* visible = NewestVisible(versions, ts);
+  return visible == nullptr ? nullptr : &visible->tuple;
 }
 
 Timestamp RowEntry::LastCommitTs() const {

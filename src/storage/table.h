@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "storage/schema.h"
 
@@ -12,6 +13,20 @@ namespace semcor {
 using TxnId = uint64_t;
 using RowId = uint64_t;
 using Timestamp = uint64_t;
+
+/// The newest version in `versions` (ascending commit_ts, ties allowed)
+/// with commit_ts <= ts, or null when every version is newer. Scans from the
+/// back: a snapshot read almost always wants one of the last few versions,
+/// and the answer is the same element a forward scan stopping at the first
+/// newer version would return, because commit_ts never decreases.
+template <typename Version>
+const Version* NewestVisible(const std::vector<Version>& versions,
+                             Timestamp ts) {
+  for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+    if (it->commit_ts <= ts) return &*it;
+  }
+  return nullptr;
+}
 
 /// One committed version of a row. `tuple == nullopt` encodes deletion (a
 /// tombstone); a row that has never been committed has no versions.

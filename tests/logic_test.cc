@@ -1,3 +1,9 @@
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <map>
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "sem/logic/decide.h"
@@ -208,6 +214,113 @@ TEST(FmTest, NoWitnessInBox) {
   std::vector<LinearConstraint> cs = {Make({{"x", -1}}, 100, LinRel::kLe)};
   std::map<VarRef, int64_t> witness;
   EXPECT_FALSE(FindIntegerWitness(cs, 5, 10000, &witness));
+}
+
+// Reference: the witness search as first written, over a VarRef-keyed map
+// and LinearConstraint::Holds, counting nodes the same way. The production
+// search must agree on the result, the witness and the node count.
+bool ReferenceFindIntegerWitness(
+    const std::vector<LinearConstraint>& constraints, int64_t bound,
+    int64_t max_nodes, std::map<VarRef, int64_t>* witness, int64_t* nodes) {
+  std::vector<VarRef> vars;
+  for (const LinearConstraint& c : constraints) {
+    for (const auto& [v, k] : c.term.coeffs) {
+      if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
+        vars.push_back(v);
+      }
+    }
+  }
+  std::vector<std::vector<const LinearConstraint*>> checkable_at(
+      vars.size() + 1);
+  for (const LinearConstraint& c : constraints) {
+    size_t last = 0;
+    for (const auto& [v, k] : c.term.coeffs) {
+      const size_t idx =
+          std::find(vars.begin(), vars.end(), v) - vars.begin();
+      last = std::max(last, idx + 1);
+    }
+    checkable_at[last].push_back(&c);
+  }
+  *nodes = 0;
+  for (const LinearConstraint* c : checkable_at[0]) {
+    if (!c->Holds({})) return false;
+  }
+  std::map<VarRef, int64_t> assign;
+  auto value_at = [](int64_t step) -> int64_t {
+    if (step == 0) return 0;
+    const int64_t mag = (step + 1) / 2;
+    return (step % 2 == 1) ? mag : -mag;
+  };
+  std::function<bool(size_t)> dfs = [&](size_t i) -> bool {
+    if (i == vars.size()) {
+      *witness = assign;
+      return true;
+    }
+    for (int64_t step = 0; step <= 2 * bound; ++step) {
+      if (++*nodes > max_nodes) return false;
+      assign[vars[i]] = value_at(step);
+      bool ok = true;
+      for (const LinearConstraint* c : checkable_at[i + 1]) {
+        if (!c->Holds(assign)) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok && dfs(i + 1)) return true;
+    }
+    assign.erase(vars[i]);
+    return false;
+  };
+  return dfs(0);
+}
+
+TEST(FmTest, DenseWitnessSearchMatchesMapReference) {
+  // Variables of every kind, so first-occurrence order and VarRef order
+  // (kind, then name) disagree; coefficients include explicit zeros.
+  const std::vector<VarRef> pool = {
+      {VarKind::kLocal, "b"}, {VarKind::kDb, "z"}, {VarKind::kLogical, "$t0"},
+      {VarKind::kDb, "a"},    {VarKind::kLocal, "a"}};
+  const int64_t bounds[] = {0, 1, 2, 4, 16};
+  const int64_t budgets[] = {1, 7, 60, 1000, 200000};
+  std::mt19937_64 rng(424242);
+  auto pick = [&](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  int found = 0, exhausted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<LinearConstraint> system;
+    const int n = static_cast<int>(pick(0, 5));
+    for (int c = 0; c < n; ++c) {
+      LinearConstraint lc;
+      const int terms = static_cast<int>(pick(0, 3));
+      for (int t = 0; t < terms; ++t) {
+        lc.term.coeffs[pool[pick(0, pool.size() - 1)]] = pick(-3, 3);
+      }
+      lc.term.konst = pick(-12, 12);
+      lc.rel = static_cast<LinRel>(pick(0, 2));
+      system.push_back(lc);
+    }
+    const int64_t bound = bounds[pick(0, 4)];
+    const int64_t budget = budgets[pick(0, 4)];
+    const std::map<VarRef, int64_t> sentinel = {{{VarKind::kDb, "?"}, 99}};
+    std::map<VarRef, int64_t> want = sentinel, got = sentinel;
+    int64_t want_nodes = -1, got_nodes = -1;
+    const bool want_ok =
+        ReferenceFindIntegerWitness(system, bound, budget, &want, &want_nodes);
+    const bool got_ok =
+        FindIntegerWitness(system, bound, budget, &got, &got_nodes);
+    ASSERT_EQ(want_ok, got_ok) << "system " << i;
+    EXPECT_EQ(want, got) << "system " << i;
+    EXPECT_EQ(want_nodes, got_nodes) << "system " << i;
+    found += want_ok ? 1 : 0;
+    exhausted += want_nodes > budget ? 1 : 0;
+  }
+  // Witnesses, refutations inside the box and exhausted budgets all occur.
+  std::printf("systems: 3000; witnesses %d, budgets exhausted %d\n", found,
+              exhausted);
+  EXPECT_GT(found, 300);
+  EXPECT_LT(found, 2900);
+  EXPECT_GT(exhausted, 50);
 }
 
 // ---- validity decision ----

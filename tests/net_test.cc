@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -523,8 +524,7 @@ TEST(ServerTest, NonReadingClientCannotGrowServerMemory) {
     }
   }
   // The stall is the server's doing: it has left frames unread in its
-  // socket. (Its kernel send buffer still holds answers beyond the outbox;
-  // the kernel bounds that.)
+  // socket.
   const long parsed = server.Metrics().frames_in;
   EXPECT_TRUE(stalled) << "pushed " << pushed << " bytes without stalling";
   EXPECT_LT(parsed, static_cast<long>(pushed / stats.size()));
@@ -536,6 +536,11 @@ TEST(ServerTest, NonReadingClientCannotGrowServerMemory) {
   const size_t frames = (pushed + tail.size()) / stats.size();
   FrameParser parser;
   size_t served = 0, shed = 0;
+  // Bytes of the answers to the first `parsed` frames: everything the
+  // server had produced for this client when its sends stalled, wherever it
+  // waited (outbox, the server's kernel send buffer, or this socket's
+  // small receive buffer).
+  size_t held = 0;
   char buf[65536];
   while (served + shed < frames) {
     pollfd p{fd, static_cast<short>(POLLIN | (tail.empty() ? 0 : POLLOUT)),
@@ -552,6 +557,9 @@ TEST(ServerTest, NonReadingClientCannotGrowServerMemory) {
     parser.Feed(buf, static_cast<size_t>(n));
     Frame frame;
     while (parser.Pop(&frame) == FrameParser::PopResult::kFrame) {
+      if (served + shed < static_cast<size_t>(parsed)) {
+        held += EncodeFrame(frame.type, frame.payload).size();
+      }
       if (frame.type == MsgType::kStatsOk) {
         served++;
       } else {
@@ -564,6 +572,12 @@ TEST(ServerTest, NonReadingClientCannotGrowServerMemory) {
   EXPECT_GT(served, 0u);
   EXPECT_GT(shed, 0u);
   EXPECT_EQ(server.Metrics().frames_in, static_cast<long>(frames));
+  // The outbox bound plus the kernel's share: the accepted socket's send
+  // buffer is capped (Linux accounts twice the configured value), so it no
+  // longer autotunes to megabytes.
+  std::printf("answers held when the client stalled: %zu bytes (%ld frames)\n",
+              held, parsed);
+  EXPECT_LE(held, kMaxOutboxBytes + 2 * size_t{kSessionSendBufferBytes});
   ::close(fd);
   server.Stop();
 }

@@ -1,3 +1,5 @@
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "storage/store.h"
@@ -176,6 +178,75 @@ TEST(StoreTest, SnapshotToMapRoundTrip) {
   EXPECT_EQ(ctx.tables().at("T").size(), 1u);
 }
 
+
+// Reference for snapshot visibility: the forward scan that stops at the
+// first version newer than the snapshot.
+template <typename Version>
+const Version* ForwardVisible(const std::vector<Version>& versions,
+                              Timestamp ts) {
+  const Version* visible = nullptr;
+  for (const Version& v : versions) {
+    if (v.commit_ts > ts) break;
+    visible = &v;
+  }
+  return visible;
+}
+
+TEST(StoreTest, NewestFirstLookupMatchesForwardScan) {
+  std::mt19937_64 rng(17);
+  auto pick = [&](uint64_t lo, uint64_t hi) {
+    return std::uniform_int_distribution<uint64_t>(lo, hi)(rng);
+  };
+  for (int chain = 0; chain < 2000; ++chain) {
+    // Ascending commit_ts with repeats; the first version may start above
+    // every snapshot asked for below (an item created after it).
+    RowEntry entry;
+    Timestamp ts = pick(0, 3);
+    const size_t n = pick(0, 12);
+    for (size_t i = 0; i < n; ++i) {
+      ts += pick(0, 2);  // 0: a duplicate commit_ts
+      RowVersion v;
+      v.commit_ts = ts;
+      if (pick(0, 3) != 0) {  // else a tombstone
+        v.tuple = Tuple{{"v", Value::Int(static_cast<int64_t>(i))}};
+      }
+      entry.versions.push_back(std::move(v));
+    }
+    for (Timestamp snap = 0; snap <= ts + 2; ++snap) {
+      const RowVersion* want = ForwardVisible(entry.versions, snap);
+      ASSERT_EQ(NewestVisible(entry.versions, snap), want)
+          << "chain " << chain << " snapshot " << snap;
+      ASSERT_EQ(entry.AtSnapshot(snap),
+                want == nullptr ? nullptr : &want->tuple)
+          << "chain " << chain << " snapshot " << snap;
+    }
+  }
+}
+
+TEST(StoreTest, SnapshotOlderThanEveryVersionSeesNothing) {
+  RowEntry entry;
+  entry.versions.push_back({5, Tuple{{"v", Value::Int(1)}}});
+  entry.versions.push_back({5, Tuple{{"v", Value::Int(2)}}});
+  EXPECT_EQ(entry.AtSnapshot(4), nullptr);
+  // Of two versions with one commit_ts, the later one is visible.
+  EXPECT_EQ(entry.AtSnapshot(5), &entry.versions[1].tuple);
+}
+
+TEST(StoreTest, ItemSnapshotReadsPickTheNewestVisibleVersion) {
+  Store store;
+  ASSERT_TRUE(store.CreateItem("x", Value::Int(5)).ok());
+  std::vector<Timestamp> snaps = {store.CurrentTs()};
+  for (int64_t v = 6; v <= 9; ++v) {
+    const TxnId txn = static_cast<TxnId>(v);
+    ASSERT_TRUE(store.WriteItemUncommitted(txn, "x", Value::Int(v)).ok());
+    store.CommitTxn(txn);
+    snaps.push_back(store.CurrentTs());
+  }
+  for (size_t i = 0; i < snaps.size(); ++i) {
+    EXPECT_EQ(store.ReadItemAtSnapshot("x", snaps[i]).value().AsInt(),
+              static_cast<int64_t>(5 + i));
+  }
+}
 
 TEST(StoreGcTest, PruneKeepsHorizonVisibleVersion) {
   Store store;
