@@ -36,7 +36,6 @@ using net::TxnResult;
 struct Tally {
   std::array<long, kIsoLevelCount> commits{};
   std::array<long, kIsoLevelCount> aborts{};
-  long busy_retries = 0;
   long negotiated = 0;
   long advisor_correct = 0;
 
@@ -55,7 +54,6 @@ struct Tally {
       commits[i] += other.commits[i];
       aborts[i] += other.aborts[i];
     }
-    busy_retries += other.busy_retries;
     negotiated += other.negotiated;
     advisor_correct += other.advisor_correct;
   }
@@ -156,7 +154,6 @@ int main(int argc, char** argv) {
         } else {
           local.aborts[r.level]++;
         }
-        local.busy_retries += r.busy_retries;
         if (r.negotiated) local.negotiated++;
         if (r.advisor_correct) local.advisor_correct++;
       }
@@ -230,12 +227,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "bench: %ld committed, %ld aborted in %.2fs (%.0f tps); "
-      "busy_retries=%ld negotiated=%ld; "
-      "server p50=%.0fus p95=%.0fus p99=%.0fus; counters %s\n",
+      "negotiated=%ld; server p50=%.0fus p95=%.0fus p99=%.0fus; "
+      "counters %s\n",
       total.Committed(), total.Aborted(), wall,
-      wall > 0 ? total.Committed() / wall : 0, total.busy_retries,
-      total.negotiated, stats.Gauge("p50_us"),
-      stats.Gauge("p95_us"), stats.Gauge("p99_us"),
+      wall > 0 ? total.Committed() / wall : 0, total.negotiated,
+      stats.Gauge("p50_us"), stats.Gauge("p95_us"), stats.Gauge("p99_us"),
       consistent ? "consistent" : "INCONSISTENT");
   per_level.Print();
 
@@ -248,7 +244,6 @@ int main(int argc, char** argv) {
   json.Scalar("aborted", total.Aborted());
   json.Scalar("wall_s", wall);
   json.Scalar("throughput_tps", wall > 0 ? total.Committed() / wall : 0.0);
-  json.Scalar("busy_retries", total.busy_retries);
   json.Scalar("negotiated", total.negotiated);
   json.Scalar("p50_us", stats.Gauge("p50_us"));
   json.Scalar("p95_us", stats.Gauge("p95_us"));
@@ -256,11 +251,10 @@ int main(int argc, char** argv) {
   // At most one EXEC per worker is ever in flight; ci.sh checks it.
   json.Scalar("server_inflight_peak", stats.Counter("inflight_peak"));
   json.Scalar("server_invariant_ok", invariant_ok);
-  // Frame accounting: RunTxn sends one EXEC per attempt, and a closed loop
-  // never has a second frame queued behind it, so no BUSY comes back and
-  // frames_in is exactly the transactions plus this client's own session
-  // frames (a HELLO per thread, the control HELLO and this STATS) — the
-  // ci.sh E10 stage gates on it.
+  // Frame accounting: RunTxn sends one EXEC per transaction and never
+  // re-sends it, so frames_in is exactly the transactions plus this
+  // client's own session frames (a HELLO per thread, the control HELLO and
+  // this STATS) — the ci.sh E10 stage gates on it.
   json.Scalar("server_frames_in", stats.Counter("frames_in"));
   json.Scalar("client_session_frames", static_cast<long>(threads) + 2);
   // Durability counters: all zero when the server runs memory-only (the

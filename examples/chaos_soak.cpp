@@ -51,14 +51,13 @@ struct SoakCounters {
 
 /// Hammers RunTxn against `port` until the deadline, reconnecting (fresh
 /// session, fresh chaos stream) whenever the connection dies under us.
-void ClientLoop(uint16_t port, uint64_t seed, steady_clock::time_point until,
+void ClientLoop(uint16_t port, steady_clock::time_point until,
                 SoakCounters* out) {
   int txn = 0;
   while (steady_clock::now() < until) {
     semcor::net::ClientOptions copts;
     copts.port = port;
     copts.recv_timeout_ms = 5000;
-    copts.backoff_seed = seed;
     semcor::net::Client client(copts);
     if (!client.Connect().ok() || !client.Hello().ok()) {
       out->conn_errors.fetch_add(1);
@@ -148,7 +147,7 @@ int main(int argc, char** argv) {
     const auto until = steady_clock::now() + phase_budget;
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(ClientLoop, proxy.port(), seed + t, until, &net);
+      pool.emplace_back(ClientLoop, proxy.port(), until, &net);
     }
     for (auto& th : pool) th.join();
     proxy.Stop();
@@ -213,8 +212,7 @@ int main(int argc, char** argv) {
     const auto until = steady_clock::now() + phase_budget;
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(ClientLoop, server.port(), seed + 100 + t, until,
-                        &disk);
+      pool.emplace_back(ClientLoop, server.port(), until, &disk);
     }
     for (auto& th : pool) th.join();
     server.Stop();

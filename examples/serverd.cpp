@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   std::string port_file;
   int port = 0;
   int duration_s = 0;
-  int64_t queue_limit = static_cast<int64_t>(options.session_queue_limit);
   int64_t lock_shards = 0;
 
   semcor::cli::Flags flags(
@@ -80,8 +79,6 @@ int main(int argc, char** argv) {
   flags.Int("workers", &options.workers,
             "worker threads, each running one transaction at a time; also "
             "the bound on transactions in flight (1..1024)");
-  flags.I64("queue-limit", &queue_limit,
-            "per-session pending-request cap before BUSY");
   flags.U64("seed", &options.seed, "seed for server-side draws");
   flags.I64("lock-shards", &lock_shards,
             "lock manager shards (0 = default, at most 64)");
@@ -106,7 +103,6 @@ int main(int argc, char** argv) {
   if (flags.help_requested() || flags.version_requested()) return 0;
   if (!InRange("port", port, 0, 65535) ||
       !InRange("workers", options.workers, 1, 1024) ||
-      !InRange("queue-limit", queue_limit, 1, INT_MAX) ||
       !InRange("lock-shards", lock_shards, 0,
                static_cast<int64_t>(semcor::LockManager::kMaxShards)) ||
       !InRange("duration-s", duration_s, 0, INT_MAX)) {
@@ -119,7 +115,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   options.port = static_cast<uint16_t>(port);
-  options.session_queue_limit = static_cast<size_t>(queue_limit);
   options.lock_shards = static_cast<size_t>(lock_shards);
 
   semcor::net::Server server(options);

@@ -216,13 +216,12 @@ int main(int argc, char** argv) {
         std::lock_guard<std::mutex> lock(err_mu);
         ++errors;
         out.type = "error";
-        out.busy = true;
+        out.failed = true;
         return out;
       }
       const net::TxnResult& r = run.value();
       out.type = r.txn_type;
       out.committed = r.committed;
-      out.busy_retries = r.busy_retries;
       return out;
     });
     ConfigResult result;
@@ -261,10 +260,10 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "[%s] scheduled=%ld measured=%ld committed=%ld aborted=%ld "
-        "busy=%ld dropped=%ld errors=%ld tpmC=%.0f p99=%lldus "
+        "failed=%ld dropped=%ld errors=%ld tpmC=%.0f p99=%lldus "
         "levels_used=%d invariant=%s\n",
         config.c_str(), result.report.scheduled, result.report.measured,
-        result.report.committed, result.report.aborted, result.report.busy,
+        result.report.committed, result.report.aborted, result.report.failed,
         result.report.dropped, result.errors, result.tpmc,
         static_cast<long long>(result.report.latency.Percentile(99)),
         result.levels_used, result.invariant_ok ? "ok" : "VIOLATED");
@@ -272,7 +271,7 @@ int main(int argc, char** argv) {
   }
 
   // --- report ---
-  bench::Table summary({"config", "committed", "aborted", "busy", "dropped",
+  bench::Table summary({"config", "committed", "aborted", "failed", "dropped",
                         "tput_tps", "tpmC", "p50_us", "p99_us", "levels",
                         "invariant"});
   bench::Table per_type({"config", "type", "completed", "committed",
@@ -282,7 +281,7 @@ int main(int argc, char** argv) {
   for (const ConfigResult& r : results) {
     summary.AddRow({r.name, std::to_string(r.report.committed),
                     std::to_string(r.report.aborted),
-                    std::to_string(r.report.busy),
+                    std::to_string(r.report.failed),
                     std::to_string(r.report.dropped),
                     StrCat(static_cast<long>(r.report.throughput())),
                     StrCat(static_cast<long>(r.tpmc)),
@@ -354,7 +353,7 @@ int main(int argc, char** argv) {
   for (const ConfigResult& r : results) {
     json.Scalar(StrCat(r.name, ".committed"), r.report.committed);
     json.Scalar(StrCat(r.name, ".aborted"), r.report.aborted);
-    json.Scalar(StrCat(r.name, ".busy"), r.report.busy);
+    json.Scalar(StrCat(r.name, ".failed"), r.report.failed);
     json.Scalar(StrCat(r.name, ".dropped"), r.report.dropped);
     json.Scalar(StrCat(r.name, ".errors"), r.errors);
     json.Scalar(StrCat(r.name, ".throughput_tps"), r.report.throughput());

@@ -58,10 +58,9 @@ LoadReport LoadGenerator::Run() {
       TypeStats& t = local.per_type[out.type];
       t.latency.Record(latency);
       ++t.completed;
-      t.busy_retries += out.busy_retries;
-      if (out.busy) {
-        ++t.busy;
-        ++local.busy;
+      if (out.failed) {
+        ++t.failed;
+        ++local.failed;
       } else if (out.committed) {
         ++t.committed;
         ++local.committed;
@@ -87,7 +86,7 @@ LoadReport LoadGenerator::Run() {
     report.measured += p.measured;
     report.committed += p.committed;
     report.aborted += p.aborted;
-    report.busy += p.busy;
+    report.failed += p.failed;
     report.dropped += p.dropped;
     report.latency.Merge(p.latency);
     for (const auto& [type, stats] : p.per_type) {
@@ -96,8 +95,7 @@ LoadReport LoadGenerator::Run() {
       t.completed += stats.completed;
       t.committed += stats.committed;
       t.aborted += stats.aborted;
-      t.busy += stats.busy;
-      t.busy_retries += stats.busy_retries;
+      t.failed += stats.failed;
     }
   }
   report.measured_seconds =

@@ -32,8 +32,7 @@ struct LoadOptions {
 struct OpOutcome {
   std::string type;        ///< transaction type (histogram key)
   bool committed = false;
-  bool busy = false;       ///< server shed it (BUSY / retry-after)
-  int busy_retries = 0;    ///< BUSY bounces absorbed before the outcome
+  bool failed = false;     ///< reached no outcome (transport or protocol error)
 };
 
 /// The operation to run: `connection` identifies the connection slot
@@ -47,8 +46,7 @@ struct TypeStats {
   long completed = 0;
   long committed = 0;
   long aborted = 0;
-  long busy = 0;
-  long busy_retries = 0;
+  long failed = 0;
 };
 
 struct LoadReport {
@@ -58,7 +56,7 @@ struct LoadReport {
   long measured = 0;       ///< completions recorded in the histograms
   long committed = 0;      ///< measured commits
   long aborted = 0;        ///< measured aborts (incl. forced rollbacks)
-  long busy = 0;           ///< measured BUSY outcomes
+  long failed = 0;         ///< measured operations with no outcome
   long dropped = 0;        ///< arrivals abandoned past the drain horizon
   double measured_seconds = 0;
   /// Measured commits per second of measurement window.

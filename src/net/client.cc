@@ -8,9 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "common/str_util.h"
 
@@ -38,15 +36,6 @@ Status Unexpected(const Frame& frame) {
   }
   return Status::Internal(
       StrCat("unexpected frame ", MsgTypeName(frame.type)));
-}
-
-/// SplitMix64 — the same mixer the server-side fault plans use, so client
-/// jitter is reproducible from the seed alone.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -134,26 +123,6 @@ Status Client::RecvFrame(Frame* out) {
   }
 }
 
-uint32_t Client::NextBackoffMs(int attempt, uint32_t server_hint_ms) {
-  // Lazy-seed the jitter stream so the schedule is a pure function of
-  // backoff_seed — independent of whether (or how often) Connect ran.
-  if (backoff_state_ == 0) backoff_state_ = Mix(options_.backoff_seed) | 1;
-  const uint64_t base = options_.backoff_base_ms > 0 ? options_.backoff_base_ms : 1;
-  const uint64_t cap = options_.backoff_max_ms > 0 ? options_.backoff_max_ms : 1;
-  const int shift = attempt < 16 ? attempt : 16;
-  const uint64_t ceiling = std::min<uint64_t>(base << shift, cap);
-  // Equal-jitter: [ceiling/2, ceiling], so retries neither synchronize
-  // (full determinism per client, decorrelated across seeds) nor collapse
-  // to zero sleep.
-  backoff_state_ = Mix(backoff_state_);
-  const uint64_t half = ceiling / 2;
-  const uint64_t span = ceiling - half + 1;
-  uint64_t ms = half + backoff_state_ % span;
-  if (ms < server_hint_ms) ms = server_hint_ms;
-  if (ms == 0) ms = 1;
-  return static_cast<uint32_t>(ms);
-}
-
 Result<Frame> Client::Call(MsgType type, const std::string& payload) {
   if (Status s = SendFrame(type, payload); !s.ok()) return s;
   return NextResponse();
@@ -217,37 +186,19 @@ Status Client::Shutdown() {
 
 Result<TxnResult> Client::RunTxn(
     const std::string& txn_type, uint8_t level,
-    const std::vector<std::pair<std::string, int64_t>>& params,
-    int max_busy_retries) {
-  TxnResult result;
+    const std::vector<std::pair<std::string, int64_t>>& params) {
   BeginReq req;
   req.txn_type = txn_type;
   req.requested_level = level;
   req.params = params;
-  const std::string exec = req.Encode();
-  // The first answer is BEGIN_OK, or BUSY when the session's queue was full
-  // (only if other frames were pipelined on this connection) and the server
-  // shed the EXEC: nap (exponentially longer each time) and re-send it.
-  Frame admitted;
-  for (int attempt = 0;; ++attempt) {
-    Result<Frame> frame = Call(MsgType::kExec, exec);
-    if (!frame.ok()) return frame.status();
-    if (frame.value().type != MsgType::kBusy) {
-      admitted = frame.take();
-      break;
-    }
-    Result<BusyResp> busy = BusyResp::Decode(frame.value().payload);
-    if (!busy.ok()) return busy.status();
-    if (++result.busy_retries > max_busy_retries) {
-      return Status::Aborted("server busy: BUSY retries exhausted");
-    }
-    const uint32_t ms = NextBackoffMs(attempt, busy.value().retry_after_ms);
-    result.backoff_ms += ms;
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  Result<Frame> admitted = Call(MsgType::kExec, req.Encode());
+  if (!admitted.ok()) return admitted.status();
+  if (admitted.value().type != MsgType::kBeginOk) {
+    return Unexpected(admitted.value());
   }
-  if (admitted.type != MsgType::kBeginOk) return Unexpected(admitted);
-  Result<BeginResp> begin = BeginResp::Decode(admitted.payload);
+  Result<BeginResp> begin = BeginResp::Decode(admitted.value().payload);
   if (!begin.ok()) return begin.status();
+  TxnResult result;
   result.txn_type = begin.value().txn_type;
   result.level = begin.value().level;
   result.negotiated = begin.value().negotiated;

@@ -18,12 +18,9 @@ struct ClientOptions {
   /// wedged server turns into a test failure, not a stuck CI job.
   int recv_timeout_ms = 20000;
   std::string client_name = "semcor-client";
-  /// RunTxn retry backoff: exponential from base to max (doubling per
-  /// consecutive BUSY), with deterministic jitter drawn from
-  /// backoff_seed so a fixed seed replays the identical sleep sequence.
-  /// The server's retry-after hint always acts as a floor.
-  uint32_t backoff_base_ms = 1;
-  uint32_t backoff_max_ms = 64;
+  /// Read by nothing: RunTxn never retries. The perfbench driver still
+  /// assigns it; the ROADMAP item 11 benchmark change removes that
+  /// assignment and this field together.
   uint64_t backoff_seed = 1;
 };
 
@@ -34,9 +31,7 @@ struct TxnResult {
   uint8_t level = 0;
   bool negotiated = false;
   bool advisor_correct = false;
-  std::string detail;        ///< abort reason when !committed
-  int busy_retries = 0;      ///< BUSY responses absorbed (full session queue)
-  uint64_t backoff_ms = 0;   ///< total retry sleep this call
+  std::string detail;  ///< abort reason when !committed
 };
 
 /// Blocking client for the semcor transaction server. One connection, one
@@ -64,24 +59,15 @@ class Client {
   /// server runs BEGIN, the body and COMMIT, waiting out lock conflicts
   /// itself. level: an IsoLevel index, or kNegotiateLevel for server-side
   /// selection; txn_type empty = the server draws from its mix; params
-  /// empty = random. Absorbs BUSY (session queue backpressure) by
-  /// sleeping for the server's retry hint and re-sending the EXEC; gives up
-  /// after `max_busy_retries` consecutive BUSY responses.
+  /// empty = random.
   Result<TxnResult> RunTxn(
       const std::string& txn_type, uint8_t level,
-      const std::vector<std::pair<std::string, int64_t>>& params = {},
-      int max_busy_retries = 1000);
+      const std::vector<std::pair<std::string, int64_t>>& params = {});
 
   // --- raw access for protocol tests ---
   Status SendFrame(MsgType type, const std::string& payload);
   Status SendRaw(const std::string& bytes);
   Status RecvFrame(Frame* out);
-
-  /// Next backoff delay for the given consecutive-retry count: exponential
-  /// base<<attempt capped at backoff_max_ms, jittered into [half, full] by
-  /// the deterministic seed stream, floored at the server's hint. Public so
-  /// the jitter schedule is unit-testable without a server.
-  uint32_t NextBackoffMs(int attempt, uint32_t server_hint_ms);
 
  private:
   /// Sends a request and returns its response frame.
@@ -94,7 +80,6 @@ class Client {
   ClientOptions options_;
   int fd_ = -1;
   FrameParser parser_;
-  uint64_t backoff_state_ = 0;
 };
 
 }  // namespace semcor::net

@@ -20,9 +20,6 @@ namespace semcor::net {
 
 namespace {
 
-/// The retry hint a BUSY frame carries.
-constexpr uint32_t kBusyRetryAfterMs = 5;
-
 Status Errno(const char* what) {
   return Status::Internal(StrCat(what, ": ", std::strerror(errno)));
 }
@@ -125,10 +122,12 @@ struct Server::Session {
 
   bool hello_done = false;
 
-  /// The loop reads nothing more while this holds (caller holds `mu`): the
-  /// peer owes a read of its answers first, or the session is closing.
+  /// The loop reads and parses nothing more while this holds (caller holds
+  /// `mu`): the peer owes a read of its answers first, a worker owes the
+  /// queued frames an answer, or the session is closing.
   bool InputPaused() const {
-    return outbox.size() > kMaxOutboxBytes || close_after_flush;
+    return outbox.size() > kMaxOutboxBytes ||
+           pending.size() >= kMaxPendingFrames || close_after_flush;
   }
 };
 
@@ -343,7 +342,8 @@ void Server::OnSessionIo(const std::shared_ptr<Session>& session,
                          bool readable, bool writable) {
   if (readable) {
     // Reads until EAGAIN or until input pauses; TryFlush then keeps POLLIN
-    // off until the peer has read enough of its answers.
+    // off until the peer has read enough of its answers and a worker has
+    // emptied the session's queue.
     bool enqueue = false;
     bool paused = false;
     char buf[4096];
@@ -358,43 +358,7 @@ void Server::OnSessionIo(const std::shared_ptr<Session>& session,
       session->parser.Feed(buf, static_cast<size_t>(n));
       std::lock_guard<std::mutex> lock(session->mu);
       session->last_activity = MonoClock::now();
-      Frame frame;
-      for (;;) {
-        const FrameParser::PopResult r = session->parser.Pop(&frame);
-        if (r == FrameParser::PopResult::kNeedMore) break;
-        if (r == FrameParser::PopResult::kError) {
-          // Unrecoverable: framing is lost. Report, flush, close.
-          std::lock_guard<std::mutex> mlock(metrics_->mu);
-          metrics_->data.protocol_errors++;
-          session->outbox +=
-              ErrorFrame(WireError::kBadFrame, session->parser.error());
-          metrics_->data.frames_out++;
-          session->close_after_flush = true;
-          break;
-        }
-        {
-          std::lock_guard<std::mutex> mlock(metrics_->mu);
-          metrics_->data.frames_in++;
-        }
-        if (session->pending.size() >= options_.session_queue_limit) {
-          // Per-session backpressure: a pipelining client that outruns the
-          // workers gets an immediate BUSY instead of unbounded buffering.
-          BusyResp busy;
-          busy.retry_after_ms = kBusyRetryAfterMs;
-          busy.reason = "session queue full";
-          session->outbox += EncodeFrame(MsgType::kBusy, busy.Encode());
-          std::lock_guard<std::mutex> mlock(metrics_->mu);
-          metrics_->data.queue_rejected++;
-          metrics_->data.frames_out++;
-          continue;
-        }
-        session->pending.push_back(std::move(frame));
-      }
-      if (!session->pending.empty() && !session->in_worker &&
-          !session->closed) {
-        session->in_worker = true;
-        enqueue = true;
-      }
+      enqueue = TakeFrames(*session) || enqueue;
       paused = session->InputPaused();
     }
     if (enqueue) EnqueueWork(session);
@@ -402,7 +366,33 @@ void Server::OnSessionIo(const std::shared_ptr<Session>& session,
   if (writable || readable) TryFlush(session);
 }
 
+bool Server::TakeFrames(Session& session) {
+  Frame frame;
+  while (!session.InputPaused()) {
+    const FrameParser::PopResult r = session.parser.Pop(&frame);
+    if (r == FrameParser::PopResult::kNeedMore) break;
+    std::lock_guard<std::mutex> mlock(metrics_->mu);
+    if (r == FrameParser::PopResult::kError) {
+      // Unrecoverable: framing is lost. Report, flush, close.
+      metrics_->data.protocol_errors++;
+      session.outbox +=
+          ErrorFrame(WireError::kBadFrame, session.parser.error());
+      metrics_->data.frames_out++;
+      session.close_after_flush = true;
+      break;
+    }
+    metrics_->data.frames_in++;
+    session.pending.push_back(std::move(frame));
+  }
+  if (session.pending.empty() || session.in_worker || session.closed) {
+    return false;
+  }
+  session.in_worker = true;
+  return true;
+}
+
 void Server::TryFlush(std::shared_ptr<Session> session) {
+  bool enqueue = false;
   bool close_now = false;
   {
     std::lock_guard<std::mutex> lock(session->mu);
@@ -420,6 +410,9 @@ void Server::TryFlush(std::shared_ptr<Session> session) {
       break;
     }
     if (!close_now) {
+      // Frames a paused read left in the parser come first: POLLIN is
+      // re-armed only once they are all queued.
+      enqueue = TakeFrames(*session);
       loop_.WantWrite(session->fd, !session->outbox.empty());
       loop_.WantRead(session->fd, !session->InputPaused());
       if (session->outbox.empty() && session->close_after_flush) {
@@ -427,6 +420,7 @@ void Server::TryFlush(std::shared_ptr<Session> session) {
       }
     }
   }
+  if (enqueue) EnqueueWork(session);
   if (close_now) CloseSession(std::move(session));
 }
 
@@ -824,14 +818,13 @@ std::string Server::BuildStats() {
   c("deadlocks", m.deadlocks);
   c("fcw_conflicts", m.fcw_conflicts);
   c("injected_faults", 0);
-  c("retries_exhausted", m.retries_exhausted);
+  c("retries_exhausted", 0);
   // Server-side lifecycle and backpressure.
   c("sessions_accepted", m.sessions_accepted);
   c("sessions_closed", m.sessions_closed);
   c("frames_in", m.frames_in);
   c("frames_out", m.frames_out);
   c("protocol_errors", m.protocol_errors);
-  c("queue_rejected", m.queue_rejected);
   c("negotiated_begins", m.negotiated_begins);
   c("inflight", m.inflight);
   c("inflight_peak", m.inflight_peak);

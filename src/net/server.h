@@ -29,9 +29,15 @@ namespace semcor::net {
 /// A session stops being read while its outbox holds more than this, and
 /// resumes once TryFlush drains it back under: a client that pipelines
 /// frames and never reads its answers cannot grow server memory without
-/// limit. One read past the bound (4 KiB of frames) is the most it can
-/// overshoot by, plus one answer per frame already queued for a worker.
+/// limit. The answers to the frames already queued for a worker are the
+/// most it can overshoot by.
 inline constexpr size_t kMaxOutboxBytes = 1 << 20;
+
+/// A session stops being read while this many of its frames wait for a
+/// worker, and frames the parser already holds stay there until the queue
+/// has room: a pipelining client is held back by not being read, the same
+/// way as one that does not read its answers.
+inline constexpr size_t kMaxPendingFrames = 8;
 
 /// SO_SNDBUF of every accepted socket. Linux doubles the value it is given
 /// for its own bookkeeping, so a session's answers parked in the kernel are
@@ -50,9 +56,6 @@ struct ServerOptions {
   /// Fixed worker pool size. Each EXEC runs start to finish on one worker,
   /// so this is also the bound on transactions in flight.
   int workers = 4;
-  /// Parsed-but-unserved frames buffered per session; beyond it the loop
-  /// answers kBusy directly (per-session backpressure for pipelined clients).
-  size_t session_queue_limit = 8;
   uint64_t seed = 42;                ///< server-side instance draws
   size_t lock_shards = 0;            ///< 0 = LockManager default
   /// Write-ahead-log directory; empty = memory-only (no durability). When
@@ -84,20 +87,19 @@ Status ParseWalOptions(const ServerOptions& options, wal::WalOptions* out);
 
 /// Counter snapshot returned by Server::Metrics and serialized (plus derived
 /// gauges) into the STATS response. The committed/aborted/deadlocks/
-/// fcw_conflicts/retries_exhausted names deliberately mirror ExecStats so
-/// tests can equate server counters with in-process runs of the same
-/// workload.
+/// fcw_conflicts names deliberately mirror ExecStats so tests can equate
+/// server counters with in-process runs of the same workload (STATS also
+/// reports ExecStats' injected_faults and retries_exhausted, always 0: the
+/// server injects no faults and retries nothing).
 struct ServerMetricsSnapshot {
   long sessions_accepted = 0;
   long sessions_closed = 0;
   long frames_in = 0;
   long frames_out = 0;
   long protocol_errors = 0;
-  long queue_rejected = 0;    ///< frames turned away at the session queue cap
   long negotiated_begins = 0;
   long fcw_conflicts = 0;     ///< first-committer-wins aborts
   long deadlocks = 0;         ///< wait-for-graph deadlock aborts
-  long retries_exhausted = 0; ///< always 0: retry is the client's job
   long inflight = 0;          ///< EXECs running on a worker (≤ workers)
   long inflight_peak = 0;
   long queue_depth_peak = 0;  ///< worker-queue high-water mark
@@ -212,6 +214,10 @@ class Server {
   void OnAccept();
   void OnSessionIo(const std::shared_ptr<Session>& session, bool readable,
                    bool writable);
+  /// Moves whole frames from the session's parser into its queue until
+  /// input pauses (caller holds session.mu). True when the caller must hand
+  /// the session to a worker.
+  bool TakeFrames(Session& session);
   // Both take the session by value: CloseSession erases the sessions_ map
   // entry, which destroys the shared_ptr stored there — a caller passing a
   // reference into the map would hand us a pointer that dies mid-call.

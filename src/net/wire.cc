@@ -28,7 +28,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kStepReport: return "STEP_REPORT";
     case MsgType::kStats: return "STATS";
     case MsgType::kStatsOk: return "STATS_OK";
-    case MsgType::kBusy: return "BUSY";
     case MsgType::kError: return "ERROR";
     case MsgType::kShutdown: return "SHUTDOWN";
     case MsgType::kShutdownOk: return "SHUTDOWN_OK";
@@ -277,22 +276,6 @@ Result<StatsResp> StatsResp::Decode(std::string_view payload) {
     m.gauges.emplace_back(std::move(key), value);
   }
   if (!r.Done()) return DecodeError("STATS_OK");
-  return m;
-}
-
-std::string BusyResp::Encode() const {
-  WireWriter w;
-  w.U32(retry_after_ms);
-  w.Str(reason);
-  return w.Take();
-}
-
-Result<BusyResp> BusyResp::Decode(std::string_view payload) {
-  WireReader r(payload);
-  BusyResp m;
-  if (!r.U32(&m.retry_after_ms) || !r.Str(&m.reason) || !r.Done()) {
-    return DecodeError("BUSY");
-  }
   return m;
 }
 

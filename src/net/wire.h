@@ -21,7 +21,8 @@ namespace semcor::net {
 /// (BEGIN_OK then the step report) — a v2 peer would read one and fall out
 /// of step. v4 made EXEC the only way to run a transaction: BEGIN, STMT,
 /// COMMIT and ABORT retired, and the step report lost its retry hint and
-/// step count, so a v3 peer would mis-parse it.
+/// step count, so a v3 peer would mis-parse it. Retiring BUSY needed no
+/// bump: a server that no longer sends a frame cannot be misread.
 inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Hard cap on one frame body (type byte + payload). Anything larger is a
@@ -36,8 +37,9 @@ inline constexpr uint8_t kNegotiateLevel = 0xFF;
 
 /// Frame type tags. Every frame on the wire is
 ///   [u32 length][u8 MsgType][payload]   (length = 1 + payload bytes, LE).
-/// Tags 3, 5, 7 and 8 (v3's BEGIN, STMT, COMMIT, ABORT) are retired; a peer
-/// that sends one gets the ordinary unexpected-frame kBadFrame error.
+/// Tags 3, 5, 7 and 8 (v3's BEGIN, STMT, COMMIT, ABORT) and 11 (BUSY, which
+/// shed frames past a full session queue) are retired; a peer that sends
+/// one gets the ordinary unexpected-frame kBadFrame error.
 enum class MsgType : uint8_t {
   kHello = 1,        ///< c->s: version check, open session
   kHelloOk = 2,      ///< s->c
@@ -45,16 +47,15 @@ enum class MsgType : uint8_t {
   kStepReport = 6,   ///< s->c: the EXEC's terminal outcome
   kStats = 9,        ///< c->s
   kStatsOk = 10,     ///< s->c
-  kBusy = 11,        ///< s->c: backpressure — retry after the given delay
   kError = 12,       ///< s->c: protocol violation / bad state
   kShutdown = 13,    ///< c->s: ask the server to stop (bench/CI convenience)
   kShutdownOk = 14,  ///< s->c
   kTimeout = 15,     ///< s->c: a deadline fired (may arrive unsolicited)
   /// c->s: run one transaction, BEGIN through COMMIT, in one request
   /// (payload: BeginReq). Answer: BEGIN_OK followed by the terminal step
-  /// report (or a kNotDurable ERROR), or a lone BUSY/ERROR when the
-  /// transaction never started (a full session queue, a bad request).
-  /// Nothing stays open between requests.
+  /// report (or a kNotDurable ERROR), or a lone ERROR when the transaction
+  /// never started (a bad request, a draining server). Nothing stays open
+  /// between requests.
   kExec = 16,
 };
 
@@ -206,14 +207,6 @@ struct StatsResp {
 
   std::string Encode() const;
   static Result<StatsResp> Decode(std::string_view payload);
-};
-
-struct BusyResp {
-  uint32_t retry_after_ms = 0;
-  std::string reason;
-
-  std::string Encode() const;
-  static Result<BusyResp> Decode(std::string_view payload);
 };
 
 struct ErrorResp {

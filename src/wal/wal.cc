@@ -347,8 +347,11 @@ WriteAheadLog::CommitHandle WriteAheadLog::LogCommit(
     acked_commits_ = stats_.commits_logged;
   }
 
+  // Counted from the last checkpoint's image, not from zero: an image past
+  // the threshold would otherwise checkpoint again at every commit.
   if (options_.checkpoint_every_bytes > 0 && !crashed_ &&
-      device_->Size() >= options_.checkpoint_every_bytes) {
+      device_->Size() >=
+          checkpoint_bytes_ + options_.checkpoint_every_bytes) {
     // The checkpoint's Reset is itself durable, so when it folds this commit
     // in, WaitDurable finds durable_lsn_ already past it.
     CheckpointLocked();
@@ -462,6 +465,7 @@ Status WriteAheadLog::CheckpointLocked() {
   }
   last_lsn_ = rec.lsn;
   durable_lsn_ = rec.lsn;
+  checkpoint_bytes_ = bytes.size();
   ++stats_.appends;
   ++stats_.checkpoints;
   ++stats_.truncations;

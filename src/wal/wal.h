@@ -48,8 +48,8 @@ bool ParseFsyncFailurePolicy(const std::string& name, FsyncFailurePolicy* out);
 
 struct WalOptions {
   FsyncPolicy fsync = FsyncPolicy::kGroupCommit;
-  /// Auto-checkpoint once the log grows past this many bytes (0 = manual
-  /// checkpoints only).
+  /// Auto-checkpoint once this many bytes were appended since the last
+  /// checkpoint (0 = manual checkpoints only).
   uint64_t checkpoint_every_bytes = 4u << 20;
   /// First LSN to assign (tests set this near the wrap point).
   Lsn first_lsn = 1;
@@ -246,6 +246,7 @@ class WriteAheadLog {
   std::set<TxnId> active_;
   uint64_t committed_base_ = 0;  ///< from the recovered checkpoint
   uint64_t acked_commits_ = 0;   ///< commits covered by completed syncs
+  uint64_t checkpoint_bytes_ = 0;  ///< log size the last checkpoint left
   WalStats stats_;
   FaultHook hook_;
 };

@@ -1,19 +1,16 @@
-// Network-boundary chaos tests: the client's deterministic backoff schedule,
-// the idle deadline over the wire, graceful drain, disconnect cleanup (no
-// locks left behind, inflight drains to zero), and the ChaosProxy — seeded
-// frame drops/truncation/duplication/splitting between a real client and a
-// real server. The acceptance property throughout: the server never hangs
-// or crashes, a torn-down session leaves no transaction or lock behind, and
-// the workload invariant holds once the dust settles.
+// Network-boundary chaos tests: the idle deadline over the wire, graceful
+// drain, disconnect cleanup (no locks left behind, inflight drains to zero),
+// and the ChaosProxy — seeded frame drops/truncation/duplication/splitting
+// between a real client and a real server. The acceptance property
+// throughout: the server never hangs or crashes, a torn-down session leaves
+// no transaction or lock behind, and the workload invariant holds once the
+// dust settles.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,49 +19,12 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "sync_latch.h"
 
 namespace semcor::net {
 namespace {
 
 using std::chrono::milliseconds;
-
-// ---------------------------------------------------------------------------
-// Client backoff schedule.
-// ---------------------------------------------------------------------------
-
-TEST(BackoffTest, DeterministicExponentialWithJitter) {
-  ClientOptions opts;
-  opts.backoff_base_ms = 2;
-  opts.backoff_max_ms = 64;
-  opts.backoff_seed = 7;
-  Client a(opts), b(opts);
-
-  std::vector<uint32_t> sa, sb;
-  for (int i = 0; i < 12; ++i) {
-    sa.push_back(a.NextBackoffMs(i, 0));
-    sb.push_back(b.NextBackoffMs(i, 0));
-  }
-  EXPECT_EQ(sa, sb);  // same seed, same schedule — replayable retries
-  for (int i = 0; i < 12; ++i) {
-    const uint32_t ceiling =
-        std::min<uint32_t>(opts.backoff_max_ms, 2u << std::min(i, 16));
-    EXPECT_GE(sa[i], ceiling / 2) << i;   // equal-jitter floor
-    EXPECT_LE(sa[i], ceiling) << i;       // capped
-  }
-  // Late attempts sit at the cap's jitter band, early ones far below it.
-  EXPECT_LT(sa[0], 3u);
-  EXPECT_GE(sa[11], 32u);
-
-  // The server's retry-after hint is a floor, never ignored.
-  EXPECT_GE(a.NextBackoffMs(0, 50), 50u);
-
-  ClientOptions other = opts;
-  other.backoff_seed = 8;
-  Client c(other);
-  std::vector<uint32_t> sc;
-  for (int i = 0; i < 12; ++i) sc.push_back(c.NextBackoffMs(i, 0));
-  EXPECT_NE(sc, sa);  // different seeds decorrelate
-}
 
 // ---------------------------------------------------------------------------
 // Server deadlines over the wire.
@@ -133,37 +93,6 @@ TEST(DeadlineTest, IdleSessionIsReapedWithTimeoutFrame) {
   EXPECT_GE(server.Metrics().idle_timeouts, 1L);
   server.Stop();
 }
-
-/// Parks whichever thread reaches the WAL's pre-sync crash site until
-/// Open() (or 10 s, so a failed test cannot wedge the server's workers).
-/// The hook never crashes the log.
-struct SyncLatch {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool parked = false;
-  bool open = false;
-
-  wal::WriteAheadLog::FaultHook Hook() {
-    return [this](FaultSite site, TxnId) {
-      if (site != FaultSite::kWalPreSync) return false;
-      std::unique_lock<std::mutex> lock(mu);
-      parked = true;
-      cv.notify_all();
-      cv.wait_for(lock, std::chrono::seconds(10), [this] { return open; });
-      return false;
-    };
-  }
-  bool WaitParked() {
-    std::unique_lock<std::mutex> lock(mu);
-    return cv.wait_for(lock, std::chrono::seconds(10),
-                       [this] { return parked; });
-  }
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu);
-    open = true;
-    cv.notify_all();
-  }
-};
 
 TEST(DeadlineTest, DrainFinishesInflightAndRefusesNewWork) {
   // An EXEC held at its commit's fsync is in flight when the drain starts.
@@ -351,7 +280,6 @@ TEST(ChaosProxyTest, SeededFaultSoakNeverWedgesTheServer) {
         ClientOptions cl;
         cl.port = proxy.port();
         cl.recv_timeout_ms = 10000;
-        cl.backoff_seed = static_cast<uint64_t>(t) * 100 + i;
         Client client(cl);
         if (!client.Connect().ok()) continue;
         if (!client.Hello().ok()) continue;

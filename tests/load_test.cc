@@ -120,7 +120,7 @@ TEST(LoadGeneratorTest, OverloadPastDrainHorizonDropsArrivals) {
   EXPECT_EQ(report.measured, executed);
 }
 
-TEST(LoadGeneratorTest, BusyAndAbortOutcomesAreSplitPerType) {
+TEST(LoadGeneratorTest, FailedAndAbortOutcomesAreSplitPerType) {
   FakeClock clock;
   LoadOptions options;
   options.target_rate = 1000.0;
@@ -133,8 +133,7 @@ TEST(LoadGeneratorTest, BusyAndAbortOutcomesAreSplitPerType) {
     OpOutcome out;
     out.type = i % 3 == 0 ? "TNewOrder" : "TPayment";
     if (i % 9 == 1) {
-      out.busy = true;
-      out.busy_retries = 2;
+      out.failed = true;
     } else {
       out.committed = i % 5 != 0;
     }
@@ -143,8 +142,8 @@ TEST(LoadGeneratorTest, BusyAndAbortOutcomesAreSplitPerType) {
   LoadReport report = gen.Run();
   EXPECT_EQ(report.measured, 90);
   EXPECT_EQ(report.measured,
-            report.committed + report.aborted + report.busy);
-  EXPECT_EQ(report.busy, 10);  // i % 9 == 1 over 0..89
+            report.committed + report.aborted + report.failed);
+  EXPECT_EQ(report.failed, 10);  // i % 9 == 1 over 0..89
   ASSERT_TRUE(report.per_type.count("TNewOrder"));
   ASSERT_TRUE(report.per_type.count("TPayment"));
   const TypeStats& no = report.per_type.at("TNewOrder");
@@ -152,8 +151,8 @@ TEST(LoadGeneratorTest, BusyAndAbortOutcomesAreSplitPerType) {
   EXPECT_EQ(no.completed, 30);
   EXPECT_EQ(pay.completed, 60);
   EXPECT_EQ(no.completed + pay.completed, report.measured);
-  EXPECT_GT(pay.busy, 0);
-  EXPECT_EQ(pay.busy_retries, pay.busy * 2);
+  EXPECT_GT(pay.failed, 0);
+  EXPECT_EQ(no.failed + pay.failed, report.failed);
   EXPECT_GT(no.aborted + pay.aborted, 0);
 }
 

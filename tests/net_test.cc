@@ -27,6 +27,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "sync_latch.h"
 #include "txn/driver.h"
 #include "workload/workload.h"
 
@@ -101,13 +102,6 @@ TEST(WireTest, StepAndStatsRoundTrip) {
   EXPECT_EQ(back.value().Counter("missing", -7), -7);
   EXPECT_DOUBLE_EQ(back.value().Gauge("p99_us"), 1234.5);
 
-  BusyResp busy;
-  busy.retry_after_ms = 9;
-  busy.reason = "full";
-  Result<BusyResp> bback = BusyResp::Decode(busy.Encode());
-  ASSERT_TRUE(bback.ok());
-  EXPECT_EQ(bback.value().retry_after_ms, 9u);
-
   ErrorResp err;
   err.code = static_cast<uint16_t>(WireError::kBadVersion);
   err.message = "nope";
@@ -155,7 +149,6 @@ TEST(WireTest, RandomGarbageNeverCrashesDecoders) {
     (void)StepResp::Decode(junk);
     (void)TimeoutResp::Decode(junk);
     (void)StatsResp::Decode(junk);
-    (void)BusyResp::Decode(junk);
     (void)ErrorResp::Decode(junk);
   }
 }
@@ -196,8 +189,8 @@ TEST(WireTest, SeededRandomFramesRoundTripThroughParser) {
   }
 }
 
-/// v3's BEGIN, STMT, COMMIT and ABORT tags.
-constexpr int kRetiredTags[] = {3, 5, 7, 8};
+/// v3's BEGIN, STMT, COMMIT and ABORT tags, and BUSY's.
+constexpr int kRetiredTags[] = {3, 5, 7, 8, 11};
 
 TEST(WireTest, EveryMsgTypeHasAName) {
   for (int t = 1; t <= static_cast<int>(MsgType::kExec); ++t) {
@@ -364,8 +357,9 @@ TEST(ServerTest, RejectsBadVersionBadStateAndUnknownType) {
 }
 
 TEST(ServerTest, RetiredSteppingFramesAreBadFrameNotFatal) {
-  // v3's BEGIN/STMT/COMMIT/ABORT tags fall into the unexpected-frame path:
-  // one kBadFrame each, nothing begun, and the session keeps working.
+  // v3's BEGIN/STMT/COMMIT/ABORT tags and BUSY's fall into the
+  // unexpected-frame path: one kBadFrame each, nothing begun, and the
+  // session keeps working.
   Server server(BankingOptions());
   ASSERT_TRUE(server.Start().ok());
   Client client = MakeClient(server);
@@ -389,7 +383,7 @@ TEST(ServerTest, RetiredSteppingFramesAreBadFrameNotFatal) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_TRUE(run.value().committed);
   const ServerMetricsSnapshot m = server.Metrics();
-  EXPECT_EQ(m.protocol_errors, 4);
+  EXPECT_EQ(m.protocol_errors, static_cast<long>(std::size(kRetiredTags)));
   EXPECT_EQ(m.Committed() + m.Aborted(), 1);
   server.Stop();
 }
@@ -433,50 +427,97 @@ TEST(ServerTest, UnknownFrameTypeIsReportedNotFatal) {
 // ---------------------------------------------------------------------------
 
 TEST(ServerTest, PipelinedFloodIsAnsweredFrameForFrame) {
-  ServerOptions options = BankingOptions();
-  options.session_queue_limit = 2;
-  Server server(options);
+  Server server(BankingOptions());
   ASSERT_TRUE(server.Start().ok());
   Client client = MakeClient(server);
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(client.Hello().ok());
 
-  // Fire a burst of STATS requests without reading responses. Every frame
-  // must be answered — served (kStatsOk) or shed (kBusy) — and the session
-  // must stay usable; no response may be dropped and nothing may hang.
-  constexpr int kBurst = 32;
+  // Fire a burst of STATS requests, more than a session queues, without
+  // reading responses. Every frame must be served and the session must stay
+  // usable; no response may be dropped and nothing may hang.
+  constexpr size_t kBurst = 4 * kMaxPendingFrames;
   std::string burst;
-  for (int i = 0; i < kBurst; ++i) burst += EncodeFrame(MsgType::kStats, "");
+  for (size_t i = 0; i < kBurst; ++i) {
+    burst += EncodeFrame(MsgType::kStats, "");
+  }
   ASSERT_TRUE(client.SendRaw(burst).ok());
-  int served = 0, shed = 0;
-  for (int i = 0; i < kBurst; ++i) {
+  for (size_t i = 0; i < kBurst; ++i) {
     Frame frame;
     ASSERT_TRUE(client.RecvFrame(&frame).ok()) << "response " << i;
-    if (frame.type == MsgType::kStatsOk) {
-      served++;
-    } else {
-      ASSERT_EQ(frame.type, MsgType::kBusy);
-      Result<BusyResp> busy = BusyResp::Decode(frame.payload);
-      ASSERT_TRUE(busy.ok());
-      EXPECT_GT(busy.value().retry_after_ms, 0u);
-      shed++;
-    }
+    EXPECT_EQ(frame.type, MsgType::kStatsOk) << MsgTypeName(frame.type);
   }
-  EXPECT_EQ(served + shed, kBurst);
-  EXPECT_GT(served, 0);
   Result<StatsResp> after = client.Stats();
   ASSERT_TRUE(after.ok());  // session still healthy after the flood
   server.Stop();
 }
 
+TEST(ServerTest, FullSessionQueueStopsReadingTheSession) {
+  // An EXEC waits at its commit's fsync while the client pipelines a flood
+  // of STATS frames behind it on the same session. Once kMaxPendingFrames
+  // wait for the worker the server must stop reading and parsing the
+  // session: the frames of a read past the queue bound stay in the parser
+  // while the worker is held. On release every frame gets exactly one
+  // STATS_OK, in order.
+  ServerOptions options = FsyncingBankingOptions("net_test_pending_bound");
+  SyncLatch latch;  // outlives the server, whose WAL calls its hook
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  server.wal()->SetFaultHook(latch.Hook());
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+  BeginReq exec;
+  exec.txn_type = "Deposit_sav";
+  exec.params = {{"i", 0}, {"d", 1}};
+  ASSERT_TRUE(client.SendFrame(MsgType::kExec, exec.Encode()).ok());
+  ASSERT_TRUE(latch.WaitParked()) << "the EXEC never reached its fsync";
+
+  constexpr int kFlood = 2000;
+  const std::string stats = EncodeFrame(MsgType::kStats, "");
+  std::string flood;
+  for (int i = 0; i < kFlood; ++i) flood += stats;
+  ASSERT_TRUE(client.SendRaw(flood).ok());  // fits the socket buffers
+  // HELLO, the EXEC, and a full queue: reached, and then not passed.
+  const long parsed = 2 + static_cast<long>(kMaxPendingFrames);
+  int settled_polls = 0;
+  for (int i = 1; i <= 1000 && settled_polls < 50; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const long frames_in = server.Metrics().frames_in;
+    ASSERT_LE(frames_in, parsed) << "after " << 5 * i << "ms";
+    if (frames_in == parsed) ++settled_polls;
+  }
+  EXPECT_EQ(settled_polls, 50) << "the queue never filled";
+  EXPECT_EQ(server.Metrics().inflight, 1);  // the worker is still held
+  latch.Open();
+
+  Frame frame;
+  ASSERT_TRUE(client.RecvFrame(&frame).ok());
+  ASSERT_EQ(frame.type, MsgType::kBeginOk) << MsgTypeName(frame.type);
+  ASSERT_TRUE(client.RecvFrame(&frame).ok());
+  ASSERT_EQ(frame.type, MsgType::kStepReport) << MsgTypeName(frame.type);
+  // One worker serves the session's frames one at a time, so the k-th
+  // STATS answer counts HELLO_OK, the EXEC's two frames and the k answers
+  // before it.
+  for (int k = 0; k < kFlood; ++k) {
+    ASSERT_TRUE(client.RecvFrame(&frame).ok()) << "response " << k;
+    ASSERT_EQ(frame.type, MsgType::kStatsOk) << MsgTypeName(frame.type);
+    Result<StatsResp> st = StatsResp::Decode(frame.payload);
+    ASSERT_TRUE(st.ok());
+    ASSERT_EQ(st.value().Counter("frames_out"), 3 + k) << "response " << k;
+  }
+  EXPECT_EQ(server.Metrics().frames_in, 2 + kFlood);
+  server.Stop();
+  std::filesystem::remove_all(options.wal_dir);
+}
+
 TEST(ServerTest, NonReadingClientCannotGrowServerMemory) {
-  // A client pipelines STATS frames and never reads. Past the session queue
-  // every frame is answered with a BUSY frame that waits in the outbox, so
-  // unless the server stops reading the session, the outbox grows as fast
-  // as the client can send. Once the outbox is over its bound the server
-  // must stop reading, so the client's sends stall once the socket buffers
-  // between the two fill up. Reading then drains everything, and every
-  // frame sent is answered, served or shed.
+  // A client pipelines STATS frames and never reads. Every answer waits in
+  // the outbox, so unless the server stops reading the session, the outbox
+  // grows as fast as the workers can answer. Once the outbox is over its
+  // bound the server must stop reading, so the client's sends stall once
+  // the socket buffers between the two fill up. Reading then drains
+  // everything, and every frame sent is served.
   ServerOptions options = BankingOptions();
   options.workers = 1;
   Server server(options);
@@ -563,14 +604,12 @@ TEST(ServerTest, NonReadingClientCannotGrowServerMemory) {
       if (frame.type == MsgType::kStatsOk) {
         served++;
       } else {
-        ASSERT_EQ(frame.type, MsgType::kBusy) << MsgTypeName(frame.type);
         shed++;
       }
     }
   }
-  EXPECT_EQ(served + shed, frames);
-  EXPECT_GT(served, 0u);
-  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(served, frames);
+  EXPECT_EQ(shed, 0u);
   EXPECT_EQ(server.Metrics().frames_in, static_cast<long>(frames));
   // The outbox bound plus the kernel's share: the accepted socket's send
   // buffer is capped (Linux accounts twice the configured value), so it no
@@ -705,7 +744,6 @@ TEST(ExecTest, CommitsWithOneFrameInPerTransaction) {
                                           {{"i", i % 4}, {"w", 1}});
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_TRUE(run.value().committed) << run.value().detail;
-    EXPECT_EQ(run.value().busy_retries, 0);
   }
   Result<StatsResp> after = client.Stats();
   ASSERT_TRUE(after.ok());
@@ -795,7 +833,6 @@ TEST(ExecTest, UnknownTypeIsBadRequestAndLeaksNoSlot) {
           config.good_type, kNegotiateLevel, config.good_params);
       ASSERT_TRUE(good.ok()) << good.status().ToString();
       EXPECT_TRUE(good.value().committed) << good.value().detail;
-      EXPECT_EQ(good.value().busy_retries, 0);
       EXPECT_EQ(server.Metrics().inflight, 0);
     }
     if (config.workload == "tpcc") {
@@ -981,7 +1018,6 @@ TEST(ExecTest, StatsLatencyGaugesComeFromOneBoundedHistogram) {
 struct SmokeTally {
   std::array<long, kIsoLevelCount> commits{};
   std::array<long, kIsoLevelCount> aborts{};
-  long busy = 0;
 };
 
 void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
@@ -1021,14 +1057,12 @@ void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
         } else {
           local.aborts[r.level]++;
         }
-        local.busy += r.busy_retries;
       }
       std::lock_guard<std::mutex> lock(mu);
       for (int i = 0; i < kIsoLevelCount; ++i) {
         total->commits[i] += local.commits[i];
         total->aborts[i] += local.aborts[i];
       }
-      total->busy += local.busy;
     });
   }
   for (std::thread& t : pool) t.join();
@@ -1204,72 +1238,6 @@ TEST(ClientTest, CloseDropsPartialFrameBeforeReconnect) {
   Result<HelloResp> hello = client.Hello();
   EXPECT_TRUE(hello.ok()) << hello.status().ToString();
   server.Stop();
-}
-
-TEST(ClientTest, RunTxnAbsorbsBusyAndGivesUpPastItsBound) {
-  // A scripted peer answers EXECs with BUSY, BUSY, then BEGIN_OK plus a
-  // committed report; then BUSY twice more. RunTxn re-sends after each hint
-  // and commits on the third try, sleeping at least the hints' sum. With
-  // max_busy_retries = 1 the second BUSY is one too many: an error status.
-  uint16_t port = 0;
-  const int listener = RawListener(&port);
-  ASSERT_GE(listener, 0);
-  const uint32_t hints[] = {3, 4};
-  std::thread peer([listener, &hints] {
-    const int fd = ::accept(listener, nullptr, nullptr);
-    if (fd < 0) return;
-    auto busy = [&hints](int i) {
-      BusyResp resp;
-      resp.retry_after_ms = hints[i % 2];
-      resp.reason = "scripted";
-      return EncodeFrame(MsgType::kBusy, resp.Encode());
-    };
-    BeginResp begin;
-    begin.txn_type = "Deposit_ch";
-    StepResp step;
-    step.outcome = static_cast<uint8_t>(StepWire::kCommitted);
-    const std::string script[] = {
-        busy(0), busy(1),
-        EncodeFrame(MsgType::kBeginOk, begin.Encode()) +
-            EncodeFrame(MsgType::kStepReport, step.Encode()),
-        busy(0), busy(1)};
-    FrameParser parser;
-    char buf[4096];
-    for (const std::string& answer : script) {
-      Frame frame;
-      while (parser.Pop(&frame) != FrameParser::PopResult::kFrame) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n <= 0) {
-          ::close(fd);
-          return;
-        }
-        parser.Feed(buf, static_cast<size_t>(n));
-      }
-      EXPECT_EQ(frame.type, MsgType::kExec) << MsgTypeName(frame.type);
-      (void)::send(fd, answer.data(), answer.size(), MSG_NOSIGNAL);
-    }
-    ::close(fd);
-  });
-
-  ClientOptions copts;
-  copts.port = port;
-  copts.recv_timeout_ms = 20000;
-  Client client(copts);
-  ASSERT_TRUE(client.Connect().ok());
-  const std::vector<std::pair<std::string, int64_t>> params = {{"i", 0},
-                                                               {"d", 1}};
-  Result<TxnResult> run = client.RunTxn("Deposit_ch", kNegotiateLevel, params);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_TRUE(run.value().committed);
-  EXPECT_EQ(run.value().busy_retries, 2);
-  EXPECT_GE(run.value().backoff_ms, uint64_t{hints[0] + hints[1]});
-
-  Result<TxnResult> gave_up = client.RunTxn("Deposit_ch", kNegotiateLevel,
-                                            params, /*max_busy_retries=*/1);
-  EXPECT_FALSE(gave_up.ok());
-  client.Close();
-  peer.join();
-  ::close(listener);
 }
 
 // ---------------------------------------------------------------------------

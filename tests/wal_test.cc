@@ -274,6 +274,46 @@ TEST(WalTest, CheckpointTruncatesWithSpaceAndCounterAccounting) {
   world.mgr.SetWal(nullptr);
 }
 
+TEST(WalTest, CheckpointTriggersOnBytesAppendedSinceTheLastOne) {
+  // A store whose checkpoint image alone is past the threshold: right after
+  // a checkpoint the log is already that big, and only what commits append
+  // on top of it may trigger the next one.
+  World world;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(
+        world.store.CreateItem("pad" + std::to_string(i), Value::Int(i)).ok());
+  }
+  WalOptions opts;
+  opts.checkpoint_every_bytes = 512;
+  WriteAheadLog wal(std::make_unique<MemDevice>(), &world.store, opts);
+  world.mgr.SetWal(&wal);
+  ASSERT_TRUE(wal.Checkpoint().ok());
+  const uint64_t image = wal.stats().log_bytes;
+  ASSERT_GT(image, opts.checkpoint_every_bytes);
+
+  // Commit until the next automatic checkpoint, twice: each cycle takes
+  // several commits, and the checkpoint fires on the commit whose bytes
+  // take the log past the image plus the threshold.
+  uint64_t checkpoints = wal.stats().checkpoints;
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    const uint64_t base = wal.stats().log_bytes;
+    int commits = 0;
+    uint64_t appended = 0;
+    while (wal.stats().checkpoints == checkpoints) {
+      ASSERT_LT(appended, opts.checkpoint_every_bytes)
+          << "cycle " << cycle << ", commit " << commits;
+      ASSERT_LT(commits, 100);
+      EXPECT_TRUE(CommitWrite(&world.mgr, IsoLevel::kSerializable, "x",
+                              ++commits));
+      appended = wal.stats().log_bytes - base;
+    }
+    EXPECT_GT(commits, 1) << "cycle " << cycle;
+    EXPECT_EQ(wal.stats().checkpoints, checkpoints + 1);
+    checkpoints = wal.stats().checkpoints;
+  }
+  world.mgr.SetWal(nullptr);
+}
+
 /// Crash-point matrix over the WAL fault sites: at every site, the acked
 /// prefix must survive (durable commits are never lost) and recovery must
 /// land on a commit-order prefix of the history.
