@@ -133,7 +133,7 @@ void BM_StoreReadCommitted(benchmark::State& state) {
   Store store;
   (void)store.CreateItem("x", Value::Int(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.ReadItemCommitted("x"));
+    benchmark::DoNotOptimize(store.ReadItem("x", ReadView::Committed()));
   }
 }
 BENCHMARK(BM_StoreReadCommitted);

@@ -166,6 +166,26 @@ assert 1 <= r["server_inflight_peak"] <= 4, r
 EOF
 fi
 
+# A server that has already served a run: the client checks its tallies
+# against the STATS deltas over its own run, so a second run against the
+# same daemon must still report consistent counters.
+rm -f semcor_serverd.port BENCH_E10again.json
+./build/examples/semcor_serverd --workload=banking --port=0 \
+    --port-file=semcor_serverd.port &
+serverd_pid=$!
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+  test -s semcor_serverd.port && break
+  sleep 0.2
+done
+./build/examples/semcor_bench_client --port="$(cat semcor_serverd.port)" \
+    --threads=2 --txns=50 --levels=rc,si --report-id=E10again >/dev/null
+second_run=$(./build/examples/semcor_bench_client \
+    --port="$(cat semcor_serverd.port)" --threads=2 --txns=50 \
+    --levels=rc,si --report-id=E10again --shutdown-server)
+wait "$serverd_pid"
+rm -f semcor_serverd.port BENCH_E10again.json
+echo "$second_run" | grep -q "counters consistent"
+
 # The WAL has one syncing policy ("group": each committer's fsync covers
 # every commit appended before it starts) and no epoch knob: any other
 # --wal-fsync name is a usage error at flag parse (exit 2, before any setup

@@ -31,8 +31,11 @@ void RunPair(const Workload& w, IsoLevel level) {
   driver.Add(w.Instantiate("Withdraw_ch", params).value(), level);
   driver.RunRoundRobin();
 
-  const int64_t sav = store.ReadItemCommitted("acct_sav[1].bal").value().AsInt();
-  const int64_t ch = store.ReadItemCommitted("acct_ch[1].bal").value().AsInt();
+  const ReadView committed = ReadView::Committed();
+  const int64_t sav =
+      store.ReadItem("acct_sav[1].bal", committed).value().AsInt();
+  const int64_t ch =
+      store.ReadItem("acct_ch[1].bal", committed).value().AsInt();
   OracleReport oracle =
       CheckSemanticCorrectness(initial, store, log, w.app.invariant);
   std::printf(

@@ -6,8 +6,10 @@
 // server from its workload mix, either negotiating the isolation level
 // per the paper's §5 procedure (--levels=negotiate) or pinning one level
 // per thread round-robin from a comma-separated list (--levels=ru,rc,rr,si).
-// Afterwards it fetches STATS, cross-checks the server's commit/abort/level
-// counters against the client-side tallies, and writes BENCH_<id>.json.
+// It takes STATS on a control connection before the run and again after,
+// cross-checks the server's commit/abort/level counter deltas against the
+// client-side tallies (so a server that has already served runs checks out
+// too), and writes BENCH_<id>.json.
 // Exit codes: 0 = done and counters consistent, 1 = run failure or counter
 // mismatch, 2 = usage error.
 
@@ -123,6 +125,26 @@ int main(int argc, char** argv) {
   copts.port = static_cast<uint16_t>(port);
   copts.recv_timeout_ms = timeout_ms;
 
+  // The server's counters before this run: the checks below compare the
+  // run's tallies with the deltas.
+  Client control(copts);
+  if (Status s = control.Connect(); !s.ok()) {
+    std::fprintf(stderr, "semcor_bench_client: stats connect: %s\n",
+                 s.ToString().c_str());
+    return 1;
+  }
+  if (Result<net::HelloResp> h = control.Hello(); !h.ok()) {
+    std::fprintf(stderr, "semcor_bench_client: stats hello: %s\n",
+                 h.status().ToString().c_str());
+    return 1;
+  }
+  Result<net::StatsResp> before = control.Stats();
+  if (!before.ok()) {
+    std::fprintf(stderr, "semcor_bench_client: stats: %s\n",
+                 before.status().ToString().c_str());
+    return 1;
+  }
+
   Tally total;
   std::mutex tally_mu;
   std::vector<std::string> errors;
@@ -174,17 +196,6 @@ int main(int argc, char** argv) {
   }
 
   // Fetch the server's view and cross-check it against the client tallies.
-  Client control(copts);
-  if (Status s = control.Connect(); !s.ok()) {
-    std::fprintf(stderr, "semcor_bench_client: stats connect: %s\n",
-                 s.ToString().c_str());
-    return 1;
-  }
-  if (Result<net::HelloResp> h = control.Hello(); !h.ok()) {
-    std::fprintf(stderr, "semcor_bench_client: stats hello: %s\n",
-                 h.status().ToString().c_str());
-    return 1;
-  }
   Result<net::StatsResp> stats_result = control.Stats();
   if (!stats_result.ok()) {
     std::fprintf(stderr, "semcor_bench_client: stats: %s\n",
@@ -192,6 +203,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const net::StatsResp& stats = stats_result.value();
+  auto delta = [&](const std::string& name) {
+    return stats.Counter(name) - before.value().Counter(name);
+  };
 
   bool consistent = true;
   auto check = [&consistent](const std::string& what, long client_v,
@@ -204,17 +218,17 @@ int main(int argc, char** argv) {
       consistent = false;
     }
   };
-  check("committed", total.Committed(), stats.Counter("committed"));
-  check("aborted", total.Aborted(), stats.Counter("aborted"));
+  check("committed", total.Committed(), delta("committed"));
+  check("aborted", total.Aborted(), delta("aborted"));
   bench::Table per_level({"level", "commits", "aborts"});
   for (int i = 0; i < kIsoLevelCount; ++i) {
     IsoLevel level;
     if (!IsoLevelFromIndex(i, &level)) continue;
     const char* name = IsoLevelName(level);
     check(StrCat("commit.", name), total.commits[i],
-          stats.Counter(StrCat("commit.", name)));
+          delta(StrCat("commit.", name)));
     check(StrCat("abort.", name), total.aborts[i],
-          stats.Counter(StrCat("abort.", name)));
+          delta(StrCat("abort.", name)));
     if (total.commits[i] == 0 && total.aborts[i] == 0) continue;
     per_level.AddRow({name, std::to_string(total.commits[i]),
                       std::to_string(total.aborts[i])});
@@ -252,11 +266,11 @@ int main(int argc, char** argv) {
   json.Scalar("server_inflight_peak", stats.Counter("inflight_peak"));
   json.Scalar("server_invariant_ok", invariant_ok);
   // Frame accounting: RunTxn sends one EXEC per transaction and never
-  // re-sends it, so frames_in is exactly the transactions plus this
-  // client's own session frames (a HELLO per thread, the control HELLO and
-  // this STATS) — the ci.sh E10 stage gates on it.
-  json.Scalar("server_frames_in", stats.Counter("frames_in"));
-  json.Scalar("client_session_frames", static_cast<long>(threads) + 2);
+  // re-sends it, so the frames the server took in during the run are
+  // exactly the transactions plus this client's own session frames (a HELLO
+  // per thread and the closing STATS) — the ci.sh E10 stage gates on it.
+  json.Scalar("server_frames_in", delta("frames_in"));
+  json.Scalar("client_session_frames", static_cast<long>(threads) + 1);
   // Durability counters: all zero when the server runs memory-only (the
   // counters are simply absent from STATS and Counter() defaults to 0).
   json.Scalar("server_wal_appends", stats.Counter("wal_appends"));

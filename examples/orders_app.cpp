@@ -64,15 +64,13 @@ int main() {
   OracleReport oracle =
       CheckSemanticCorrectness(initial, store, log, w.app.invariant);
   std::printf("  oracle: %s\n", oracle.ToString().c_str());
+  const MapEvalContext final_state = store.SnapshotToMap();
+  const size_t orders = final_state.tables().at("ORDERS").size();
+  const int64_t maximum_date =
+      final_state.GetVar({VarKind::kDb, "maximum_date"}).value().AsInt();
   std::printf("  final: %zu orders, maximum_date=%lld (one per day: %s)\n",
-              store.CommittedTuples("ORDERS").size(),
-              static_cast<long long>(
-                  store.ReadItemCommitted("maximum_date").value().AsInt()),
-              store.CommittedTuples("ORDERS").size() ==
-                      static_cast<size_t>(store.ReadItemCommitted("maximum_date")
-                                              .value()
-                                              .AsInt())
-                  ? "holds"
-                  : "BROKEN");
+              orders, static_cast<long long>(maximum_date),
+              orders == static_cast<size_t>(maximum_date) ? "holds"
+                                                          : "BROKEN");
   return oracle.ok() ? 0 : 1;
 }

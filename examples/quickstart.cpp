@@ -141,11 +141,12 @@ int main() {
 
   OracleReport oracle =
       CheckSemanticCorrectness(initial, store, log, app.invariant);
+  const ReadView committed = ReadView::Committed();
   std::printf("interleaved run: stock=%lld pending=%lld -> %s\n",
               static_cast<long long>(
-                  store.ReadItemCommitted(kStock).value().AsInt()),
+                  store.ReadItem(kStock, committed).value().AsInt()),
               static_cast<long long>(
-                  store.ReadItemCommitted(kPending).value().AsInt()),
+                  store.ReadItem(kPending, committed).value().AsInt()),
               oracle.ToString().c_str());
   return oracle.ok() ? 0 : 1;
 }

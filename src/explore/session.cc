@@ -39,7 +39,7 @@ std::string RunResult::Signature() const {
 Status ExploreSession::Init(const Workload& workload, const ExploreMix& mix,
                             IsoLevel level,
                             const ExploreSessionOptions& options) {
-  if (checkpoint_ != nullptr) {
+  if (oracle_ != nullptr) {
     return Status::InvalidArgument("session already initialized");
   }
   level_ = level;
@@ -55,7 +55,7 @@ Status ExploreSession::Init(const Workload& workload, const ExploreMix& mix,
   }
   Status s = workload.setup(&store_);
   if (!s.ok()) return s;
-  checkpoint_ = store_.Checkpoint();
+  setup_cut_ = store_.CommittedCut();
   for (const ExploreMix::Entry& entry : mix.txns) {
     auto program = workload.Instantiate(entry.type, entry.params);
     if (!program.ok()) {
@@ -73,7 +73,7 @@ Status ExploreSession::Init(const Workload& workload, const ExploreMix& mix,
 }
 
 void ExploreSession::ResetWorld() {
-  store_.Restore(*checkpoint_);
+  store_.Load(setup_cut_);
   locks_.Reset();
   log_.Clear();
   mgr_.ResetIds();
@@ -304,7 +304,7 @@ CrashMatrixResult ExploreSession::RunCrashMatrix(const Schedule& hints) {
   // records must reproduce. A choice resolves one productive step, so at
   // most one commit lands per iteration.
   std::vector<CommittedState> capture;
-  capture.push_back(store_.DumpCommittedState());
+  capture.push_back(store_.CommittedCut());
   {
     StepDriver driver(&mgr_, &log_, /*lazy_begin=*/true);
     ConfigureDriver(&driver);
@@ -314,7 +314,7 @@ CrashMatrixResult ExploreSession::RunCrashMatrix(const Schedule& hints) {
     for (int hint : hints) {
       ApplyChoice(driver, hint, &run, &last_exec);
       while (capture.size() <= wal.stats().commits_logged) {
-        capture.push_back(store_.DumpCommittedState());
+        capture.push_back(store_.CommittedCut());
       }
     }
     result.complete = driver.AllDone();
@@ -341,7 +341,7 @@ CrashMatrixResult ExploreSession::RunCrashMatrix(const Schedule& hints) {
 
   for (size_t cut : cuts) {
     Store recovered;
-    recovered.Restore(*checkpoint_);
+    recovered.Load(setup_cut_);
     const wal::RecoveryResult rec = wal::RecoverFromBytes(
         std::string_view(bytes).substr(0, cut), &recovered);
     ++result.points_checked;
@@ -367,7 +367,7 @@ CrashMatrixResult ExploreSession::RunCrashMatrix(const Schedule& hints) {
       continue;
     }
     const std::string diff =
-        DiffCommittedStates(capture[k], recovered.DumpCommittedState());
+        DiffCommittedStates(capture[k], recovered.CommittedCut());
     if (!diff.empty()) report(diff);
   }
   return result;

@@ -165,7 +165,7 @@ class ExploreSession {
   LockManager locks_;
   TxnManager mgr_{&store_, &locks_};
   CommitLog log_;
-  std::shared_ptr<const StoreCheckpoint> checkpoint_;
+  CommittedState setup_cut_;  ///< committed cut right after setup
   std::unique_ptr<ScheduleOracle> oracle_;
   std::vector<std::shared_ptr<const TxnProgram>> programs_;
   IsoLevel level_ = IsoLevel::kSerializable;

@@ -7,7 +7,7 @@ namespace semcor {
 Result<Value> SnapshotView::ReadItem(const std::string& name) const {
   auto it = write_set_.items.find(name);
   if (it != write_set_.items.end()) return it->second;
-  return store_->ReadItemAtSnapshot(name, start_ts_);
+  return store_->ReadItem(name, ReadView::Snapshot(start_ts_));
 }
 
 void SnapshotView::WriteItem(const std::string& name, Value v) {
@@ -26,15 +26,17 @@ const SnapshotWriteSet::RowOp* SnapshotView::OwnOpFor(const std::string& table,
 Status SnapshotView::Scan(
     const std::string& table,
     const std::function<void(RowId, const Tuple&)>& fn) const {
-  Status s = store_->Scan(table, start_ts_, [&](RowId row, const Tuple& t) {
-    const SnapshotWriteSet::RowOp* own = OwnOpFor(table, row);
-    if (own == nullptr) {
-      fn(row, t);
-    } else if (own->image) {
-      fn(row, *own->image);
-    }
-    // own buffered delete: row invisible
-  });
+  Status s = store_->Scan(
+      table, ReadView::Snapshot(start_ts_),
+      [&](RowId row, const Tuple& t, std::optional<TxnId>) {
+        const SnapshotWriteSet::RowOp* own = OwnOpFor(table, row);
+        if (own == nullptr) {
+          fn(row, t);
+        } else if (own->image) {
+          fn(row, *own->image);
+        }
+        // own buffered delete: row invisible
+      });
   if (!s.ok()) return s;
   // Own inserts, with synthetic row ids.
   RowId synthetic = kOwnRowBase;

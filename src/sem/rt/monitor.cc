@@ -24,12 +24,8 @@ class ActualStateCtx : public EvalContext {
           const auto& buffered = txn_->snapshot->write_set().items;
           auto it = buffered.find(var.name);
           if (it != buffered.end()) return it->second;
-          return store_->ReadItemCommitted(var.name);
         }
-        if (txn_->level == IsoLevel::kReadUncommitted) {
-          return store_->ReadItemLatest(var.name);
-        }
-        return store_->ReadItemForTxn(var.name, txn_->id);
+        return store_->ReadItem(var.name, View());
       case VarKind::kLocal: {
         auto it = txn_->locals.find(var.name);
         if (it == txn_->locals.end()) {
@@ -50,18 +46,24 @@ class ActualStateCtx : public EvalContext {
 
   Status ScanTable(const std::string& table,
                    const std::function<void(const Tuple&)>& fn) const override {
-    if (txn_->snapshot == nullptr &&
-        txn_->level == IsoLevel::kReadUncommitted) {
-      return store_->Scan(table, Store::kLatest,
-                          [&](RowId, const Tuple& t) { fn(t); });
-    }
-    // Committed-latest with the txn's own images (snapshot txns buffer row
-    // ops privately; their committed view approximates what they assert).
-    return store_->ScanForTxn(table, txn_->id,
-                              [&](RowId, const Tuple& t) { fn(t); });
+    // Snapshot txns buffer row ops privately; their committed view
+    // approximates what they assert.
+    return store_->Scan(
+        table, View(),
+        [&](RowId, const Tuple& t, std::optional<TxnId>) { fn(t); });
   }
 
  private:
+  // Dirty-latest only at READ UNCOMMITTED; committed-latest plus the txn's
+  // own images otherwise (a SNAPSHOT txn holds none in the store).
+  ReadView View() const {
+    if (txn_->snapshot == nullptr &&
+        txn_->level == IsoLevel::kReadUncommitted) {
+      return ReadView::Latest();
+    }
+    return ReadView::Own(txn_->id);
+  }
+
   const Store* store_;
   const Txn* txn_;
 };

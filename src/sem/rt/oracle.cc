@@ -85,7 +85,9 @@ OracleReport CheckSemanticCorrectness(const MapEvalContext& initial,
   // Compare tables as tuple multisets.
   for (const auto& [table, tuples] : expected.tables()) {
     std::vector<Tuple> want = tuples;
-    std::vector<Tuple> got = final_store.CommittedTuples(table);
+    auto actual = final_state.tables().find(table);
+    std::vector<Tuple> got;
+    if (actual != final_state.tables().end()) got = actual->second;
     std::sort(want.begin(), want.end());
     std::sort(got.begin(), got.end());
     if (want != got) {

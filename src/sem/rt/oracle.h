@@ -48,7 +48,8 @@ class ScheduleOracle {
 
   /// CheckSemanticCorrectness against the fixed initial state. A run with no
   /// commits is vacuously correct when the store still matches the initial
-  /// state, which Restore() guarantees — so the empty log short-circuits.
+  /// state, which loading the setup cut guarantees — so the empty log
+  /// short-circuits.
   OracleReport Check(const Store& final_store, const CommitLog& log) const;
 
   const MapEvalContext& initial() const { return initial_; }

@@ -165,20 +165,20 @@ struct SpecRunner::SessionState {
 Status SpecRunner::Init() {
   Status s = spec_.setup.Apply(&store_);
   if (!s.ok()) return s;
-  checkpoint_ = store_.Checkpoint();
+  setup_cut_ = store_.CommittedCut();
   oracle_ = std::make_unique<ScheduleOracle>(store_.SnapshotToMap(), True());
   return Status::Ok();
 }
 
 void SpecRunner::ResetWorld() {
-  store_.Restore(*checkpoint_);
+  store_.Load(setup_cut_);
   locks_.Reset();
   log_.Clear();
   mgr_.ResetIds();
 }
 
 Result<LevelOutcome> SpecRunner::RunLevel(IsoLevel level) {
-  if (checkpoint_ == nullptr) {
+  if (oracle_ == nullptr) {
     return Status::Internal("SpecRunner::Init was not called");
   }
   LevelOutcome out;

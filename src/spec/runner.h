@@ -98,7 +98,7 @@ class SpecRunner {
   LockManager locks_;
   TxnManager mgr_{&store_, &locks_};
   CommitLog log_;
-  std::shared_ptr<const StoreCheckpoint> checkpoint_;
+  CommittedState setup_cut_;  ///< committed cut right after setup
   std::unique_ptr<ScheduleOracle> oracle_;
 };
 

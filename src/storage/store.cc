@@ -37,44 +37,18 @@ Result<RowId> Store::LoadRow(const std::string& table, Tuple tuple) {
   return row;
 }
 
-Result<Value> Store::ReadItemInternal(const std::string& name,
-                                      Timestamp ts) const {
-  auto it = items_.find(name);
-  if (it == items_.end()) return Status::NotFound(StrCat("item ", name));
-  const ItemEntry& entry = it->second;
-  if (ts == kLatest && entry.uncommitted_owner) return entry.uncommitted;
-  if (ts == kLatest || ts == kCommitted) {
-    return entry.versions.back().value;
-  }
-  const ItemVersion* visible = NewestVisible(entry.versions, ts);
-  if (visible == nullptr) {
-    return Status::NotFound(StrCat("item ", name, " invisible at ts ", ts));
-  }
-  return visible->value;
-}
-
-Result<Value> Store::ReadItemLatest(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReadItemInternal(name, kLatest);
-}
-
-Result<Value> Store::ReadItemCommitted(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReadItemInternal(name, kCommitted);
-}
-
-Result<Value> Store::ReadItemAtSnapshot(const std::string& name,
-                                        Timestamp ts) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReadItemInternal(name, ts);
-}
-
-Result<Value> Store::ReadItemForTxn(const std::string& name, TxnId txn) const {
+Result<Value> Store::ReadItem(const std::string& name,
+                              const ReadView& view) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = items_.find(name);
   if (it == items_.end()) return Status::NotFound(StrCat("item ", name));
-  if (it->second.uncommitted_owner == txn) return it->second.uncommitted;
-  return it->second.versions.back().value;
+  std::optional<TxnId> writer;
+  const Value* image = it->second.Visible(view, &writer);
+  if (image == nullptr) {
+    return Status::NotFound(
+        StrCat("item ", name, " invisible at ts ", view.ts));
+  }
+  return *image;
 }
 
 Status Store::WriteItemUncommitted(TxnId txn, const std::string& name, Value v,
@@ -162,7 +136,7 @@ Result<Timestamp> Store::ItemLastCommitTs(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = items_.find(name);
   if (it == items_.end()) return Status::NotFound(StrCat("item ", name));
-  return it->second.versions.back().commit_ts;
+  return it->second.LastCommitTs();
 }
 
 Result<RowId> Store::InsertRowUncommitted(TxnId txn, const std::string& table,
@@ -220,7 +194,9 @@ Result<std::optional<Tuple>> Store::ReadRowLatest(const std::string& table,
   if (rit == it->second.rows().end()) {
     return Status::NotFound(StrCat("row ", row, " of ", table));
   }
-  const std::optional<Tuple>* image = rit->second.Latest();
+  std::optional<TxnId> writer;
+  const std::optional<Tuple>* image =
+      rit->second.Visible(ReadView::Latest(), &writer);
   if (image == nullptr) return std::optional<Tuple>{};
   return *image;
 }
@@ -237,75 +213,18 @@ Result<Timestamp> Store::RowLastCommitTs(const std::string& table,
   return rit->second.LastCommitTs();
 }
 
-Status Store::Scan(const std::string& table, Timestamp ts,
-                   const std::function<void(RowId, const Tuple&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound(StrCat("table ", table));
-  for (const auto& [row, entry] : it->second.rows()) {
-    const std::optional<Tuple>* image = nullptr;
-    if (ts == kLatest) {
-      image = entry.Latest();
-    } else if (ts == kCommitted) {
-      image = entry.LatestCommitted();
-    } else {
-      image = entry.AtSnapshot(ts);
-    }
-    if (image != nullptr && image->has_value()) fn(row, **image);
-  }
-  return Status::Ok();
-}
-
-Status Store::ScanWithPending(
-    const std::string& table,
+Status Store::Scan(
+    const std::string& table, const ReadView& view,
     const std::function<void(RowId, const Tuple&, std::optional<TxnId>)>& fn)
     const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(table);
   if (it == tables_.end()) return Status::NotFound(StrCat("table ", table));
+  const ReadView v = view;  // a local the callback cannot alias
+  std::optional<TxnId> writer;
   for (const auto& [row, entry] : it->second.rows()) {
-    const std::optional<Tuple>* image = entry.Latest();
-    if (image != nullptr && image->has_value()) {
-      fn(row, **image, entry.uncommitted_owner);
-    } else if (entry.uncommitted_owner) {
-      // Pending delete (or yet-invisible insert): report with the committed
-      // image if one exists so readers know to wait.
-      const std::optional<Tuple>* committed = entry.LatestCommitted();
-      if (committed != nullptr && committed->has_value()) {
-        fn(row, **committed, entry.uncommitted_owner);
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-Status Store::ScanLatestWithWriter(
-    const std::string& table,
-    const std::function<void(RowId, const Tuple&, std::optional<TxnId>)>& fn)
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound(StrCat("table ", table));
-  for (const auto& [row, entry] : it->second.rows()) {
-    const std::optional<Tuple>* image = entry.Latest();
-    if (image != nullptr && image->has_value()) {
-      fn(row, **image, entry.uncommitted_owner);
-    }
-  }
-  return Status::Ok();
-}
-
-Status Store::ScanForTxn(
-    const std::string& table, TxnId txn,
-    const std::function<void(RowId, const Tuple&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound(StrCat("table ", table));
-  for (const auto& [row, entry] : it->second.rows()) {
-    const std::optional<Tuple>* image = entry.uncommitted_owner == txn
-                                            ? &entry.uncommitted
-                                            : entry.LatestCommitted();
-    if (image != nullptr && image->has_value()) fn(row, **image);
+    const std::optional<Tuple>* image = entry.Visible(v, &writer);
+    if (image != nullptr && image->has_value()) fn(row, **image, writer);
   }
   return Status::Ok();
 }
@@ -376,7 +295,7 @@ Result<Timestamp> Store::SnapshotCommit(TxnId txn, const SnapshotWriteSet& ws,
   for (const auto& [name, value] : ws.items) {
     auto it = items_.find(name);
     if (it == items_.end()) return Status::NotFound(StrCat("item ", name));
-    if (it->second.versions.back().commit_ts > start_ts) {
+    if (it->second.LastCommitTs() > start_ts) {
       return Status::Conflict(StrCat("first-committer-wins on item ", name));
     }
     if (it->second.uncommitted_owner &&
@@ -450,13 +369,15 @@ TxnEffects Store::CollectTxnEffects(TxnId txn) const {
   return effects;
 }
 
-CommittedState Store::DumpCommittedState() const {
+CommittedState Store::CommittedCut() const {
   std::lock_guard<std::mutex> lock(mu_);
-  CommittedState state;
-  state.clock = clock_.load();
+  const ReadView committed = ReadView::Committed();
+  std::optional<TxnId> writer;
+  CommittedState cut;
+  cut.clock = clock_.load();
   for (const auto& [name, entry] : items_) {
-    const ItemVersion& latest = entry.versions.back();
-    state.items.push_back({name, latest.commit_ts, latest.value});
+    cut.items.push_back(
+        {name, entry.LastCommitTs(), *entry.Visible(committed, &writer)});
   }
   for (const auto& [name, table] : tables_) {
     CommittedState::TableState ts;
@@ -464,37 +385,42 @@ CommittedState Store::DumpCommittedState() const {
     ts.schema = table.schema();
     ts.next_row_id = table.PeekNextRowId();
     for (const auto& [row, entry] : table.rows()) {
-      // Rows with no committed version yet (an in-flight insert) are not part
-      // of the committed state; the inserter's commit record will carry them.
-      if (entry.versions.empty()) continue;
-      const RowVersion& latest = entry.versions.back();
-      ts.rows.push_back({row, latest.commit_ts, latest.tuple});
+      // A row with no committed version yet (an in-flight insert) is not part
+      // of the cut; the inserter's commit record will carry it. Tombstones
+      // are.
+      const std::optional<Tuple>* image = entry.Visible(committed, &writer);
+      if (image != nullptr) {
+        ts.rows.push_back({row, entry.LastCommitTs(), *image});
+      }
     }
-    state.tables.push_back(std::move(ts));
+    cut.tables.push_back(std::move(ts));
   }
-  return state;
+  return cut;
 }
 
-void Store::LoadCommittedState(const CommittedState& state) {
+void Store::Load(const CommittedState& cut) {
   std::lock_guard<std::mutex> lock(mu_);
   items_.clear();
   tables_.clear();
   touches_.clear();
-  clock_.store(state.clock);
-  for (const CommittedState::ItemState& item : state.items) {
+  clock_.store(cut.clock);
+  // A cut lists names and row ids in ascending order, so each insert lands
+  // at the end of its map.
+  for (const CommittedState::ItemState& item : cut.items) {
     ItemEntry entry;
     entry.versions.push_back({item.commit_ts, item.value});
-    items_.emplace(item.name, std::move(entry));
+    items_.emplace_hint(items_.end(), item.name, std::move(entry));
   }
-  for (const CommittedState::TableState& ts : state.tables) {
+  for (const CommittedState::TableState& ts : cut.tables) {
     TableData table(ts.schema);
+    auto& rows = table.mutable_rows();
     for (const CommittedState::RowState& row : ts.rows) {
       RowEntry entry;
       entry.versions.push_back({row.commit_ts, row.image});
-      table.mutable_rows().emplace(row.row, std::move(entry));
+      rows.emplace_hint(rows.end(), row.row, std::move(entry));
     }
     table.BumpNextRowId(ts.next_row_id);
-    tables_.emplace(ts.name, std::move(table));
+    tables_.emplace_hint(tables_.end(), ts.name, std::move(table));
   }
 }
 
@@ -541,7 +467,7 @@ size_t Store::PruneVersionsBefore(Timestamp horizon) {
       prune(it->second.versions);
       // A lone pre-horizon tombstone (and no pending writer) is dead weight.
       if (it->second.versions.size() == 1 &&
-          !it->second.versions[0].tuple.has_value() &&
+          IsDelete(it->second.versions[0].image) &&
           it->second.versions[0].commit_ts <= horizon &&
           !it->second.uncommitted_owner) {
         ++dropped;
@@ -554,59 +480,22 @@ size_t Store::PruneVersionsBefore(Timestamp horizon) {
   return dropped;
 }
 
-/// Deep copy of the store's committed maps. Item and row entries are copied
-/// verbatim (version chains included) so a Restore reproduces snapshot
-/// visibility and commit timestamps exactly.
-class StoreCheckpoint {
- public:
-  std::map<std::string, Store::ItemEntry> items;
-  std::map<std::string, TableData> tables;
-  Timestamp clock = 0;
-};
-
-std::shared_ptr<const StoreCheckpoint> Store::Checkpoint() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto cp = std::make_shared<StoreCheckpoint>();
-  cp->items = items_;
-  cp->tables = tables_;
-  cp->clock = clock_.load();
-  return cp;
-}
-
-void Store::Restore(const StoreCheckpoint& cp) {
-  std::lock_guard<std::mutex> lock(mu_);
-  items_ = cp.items;
-  tables_ = cp.tables;
-  touches_.clear();
-  clock_.store(cp.clock);
-}
-
 MapEvalContext Store::SnapshotToMap() const {
   std::lock_guard<std::mutex> lock(mu_);
+  const ReadView committed = ReadView::Committed();
+  std::optional<TxnId> writer;
   MapEvalContext ctx;
   for (const auto& [name, entry] : items_) {
-    ctx.SetDb(name, entry.versions.back().value);
+    ctx.SetDb(name, *entry.Visible(committed, &writer));
   }
   for (const auto& [name, table] : tables_) {
-    ctx.MutableTable(name);
+    std::vector<Tuple>* tuples = ctx.MutableTable(name);
     for (const auto& [row, entry] : table.rows()) {
-      const std::optional<Tuple>* image = entry.LatestCommitted();
-      if (image != nullptr && image->has_value()) ctx.AddTuple(name, **image);
+      const std::optional<Tuple>* image = entry.Visible(committed, &writer);
+      if (image != nullptr && image->has_value()) tuples->push_back(**image);
     }
   }
   return ctx;
-}
-
-std::vector<Tuple> Store::CommittedTuples(const std::string& table) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Tuple> out;
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return out;
-  for (const auto& [row, entry] : it->second.rows()) {
-    const std::optional<Tuple>* image = entry.LatestCommitted();
-    if (image != nullptr && image->has_value()) out.push_back(**image);
-  }
-  return out;
 }
 
 }  // namespace semcor

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -31,12 +30,6 @@ struct SnapshotWriteSet {
   bool empty() const { return items.empty() && row_ops.empty(); }
 };
 
-/// Opaque capture of a store's committed state (items, tables, clock),
-/// produced by Store::Checkpoint. Defined in store.cc; callers only pass it
-/// back to Store::Restore. The schedule explorer keeps one per session and
-/// restores it between schedule runs instead of re-running workload setup.
-class StoreCheckpoint;
-
 /// The after-images one transaction's commit promoted: what WAL redo must
 /// reapply. Row ids are the real ids in the store — SNAPSHOT inserts get
 /// their id resolved at commit and reported here, so later log records that
@@ -57,14 +50,13 @@ struct TxnEffects {
   bool empty() const { return items.empty() && rows.empty(); }
 };
 
-/// Flat, committed-latest capture of the store for WAL checkpoints: one
-/// value per item, one optional image per row (tombstones included, so
-/// row-id continuity survives recovery), plus each table's schema and
-/// row-id watermark and the commit clock. Unlike StoreCheckpoint (a deep
-/// copy of the version chains for in-process Restore), this is the
-/// serializable form — version history is deliberately collapsed, which is
-/// exactly what a fuzzy checkpoint may keep: snapshots older than the
-/// checkpoint cannot be in use after a crash.
+/// The store's committed cut (Store::CommittedCut): one value per item, one
+/// optional image per row (tombstones included, so row-id continuity
+/// survives recovery), plus each table's schema and row-id watermark and the
+/// commit clock. Version history is deliberately collapsed, which is exactly
+/// what a fuzzy WAL checkpoint may keep: snapshots older than the checkpoint
+/// cannot be in use after a crash. The explorer and the spec runner keep the
+/// cut taken right after setup and Load it between runs.
 struct CommittedState {
   struct ItemState {
     std::string name;
@@ -91,9 +83,10 @@ struct CommittedState {
 /// methods are thread-safe (one coarse mutex — the testbed measures
 /// *relative* isolation-level behaviour, not raw storage throughput).
 ///
-/// Uncommitted images are visible to readers that ask for "latest"
-/// visibility (READ UNCOMMITTED); lock disciplines above RU prevent such
-/// reads by construction.
+/// Every read names a ReadView, and one rule (VersionChain::Visible) decides
+/// which image an item or row shows under it. Uncommitted images show only
+/// under the latest, own and locking views; lock disciplines above READ
+/// UNCOMMITTED prevent foreign dirty reads by construction.
 class Store {
  public:
   Store() = default;
@@ -107,13 +100,9 @@ class Store {
   Result<RowId> LoadRow(const std::string& table, Tuple tuple);
 
   // ---- item access ----
-  Result<Value> ReadItemLatest(const std::string& name) const;
-  Result<Value> ReadItemCommitted(const std::string& name) const;
-  Result<Value> ReadItemAtSnapshot(const std::string& name,
-                                   Timestamp ts) const;
-  /// Committed-latest, except the txn's own uncommitted image if present
-  /// (the state as a lock-based reader above RU can observe it).
-  Result<Value> ReadItemForTxn(const std::string& name, TxnId txn) const;
+  /// The item's image under `view`; NotFound if the item does not exist or
+  /// nothing is visible (a snapshot older than every version).
+  Result<Value> ReadItem(const std::string& name, const ReadView& view) const;
   /// Installs/overwrites the txn's uncommitted image. Fails with kConflict
   /// if another transaction has an uncommitted image (the lock manager
   /// should make that impossible for locking levels). If `prior` is non-null
@@ -150,32 +139,11 @@ class Store {
                                              RowId row) const;
   Result<Timestamp> RowLastCommitTs(const std::string& table, RowId row) const;
 
-  /// Scans visible rows. Visibility: ts == kLatest reads dirty-latest,
-  /// ts == kCommitted reads last committed, otherwise snapshot at ts.
-  static constexpr Timestamp kLatest = ~Timestamp{0};
-  static constexpr Timestamp kCommitted = ~Timestamp{0} - 1;
-  Status Scan(const std::string& table, Timestamp ts,
-              const std::function<void(RowId, const Tuple&)>& fn) const;
-  /// Committed-latest visibility with the txn's own uncommitted row images
-  /// overlaid.
-  Status ScanForTxn(const std::string& table, TxnId txn,
-                    const std::function<void(RowId, const Tuple&)>& fn) const;
-
-  /// Scans latest images together with the pending writer (if any): lets
-  /// lock-based readers skip lock acquisition on clean rows entirely.
-  Status ScanWithPending(
-      const std::string& table,
-      const std::function<void(RowId, const Tuple&, std::optional<TxnId>)>&
-          fn) const;
-
-  /// Dirty-latest scan (exactly the rows Scan(kLatest) reports) that also
-  /// exposes the pending writer of each reported image. Unlike
-  /// ScanWithPending, pending deletes stay invisible — this is the READ
-  /// UNCOMMITTED view, used to classify dirty reads.
-  Status ScanLatestWithWriter(
-      const std::string& table,
-      const std::function<void(RowId, const Tuple&, std::optional<TxnId>)>&
-          fn) const;
+  /// Calls `fn` on every row that shows a tuple under `view`, with the
+  /// writer the view reports (see ReadView), in row-id order.
+  Status Scan(const std::string& table, const ReadView& view,
+              const std::function<void(RowId, const Tuple&,
+                                       std::optional<TxnId>)>& fn) const;
 
   const Schema* GetSchema(const std::string& table) const;
 
@@ -199,15 +167,15 @@ class Store {
   /// called while the images are still installed (immediately before
   /// CommitTxn); the caller's locks guarantee they cannot change in between.
   TxnEffects CollectTxnEffects(TxnId txn) const;
-  /// Captures the committed-latest state in serializable form. Fuzzy: taken
-  /// under the store mutex while transactions are in flight — uncommitted
-  /// images are simply not part of the committed state.
-  CommittedState DumpCommittedState() const;
-  /// Replaces the entire store contents with a checkpoint capture (schema,
-  /// rows, items, clock, row-id watermarks). Any transaction in flight
-  /// against this store must be abandoned by the caller; WAL recovery runs
-  /// before the system serves.
-  void LoadCommittedState(const CommittedState& state);
+  /// The committed cut: the committed view of every item and row. Fuzzy when
+  /// transactions are in flight — their uncommitted images (and rows they
+  /// inserted) are simply not part of it.
+  CommittedState CommittedCut() const;
+  /// Replaces the entire store contents with a cut (schema, rows, items,
+  /// clock, row-id watermarks), dropping every version, uncommitted image and
+  /// touch record accumulated since. Any transaction in flight against this
+  /// store must be abandoned by the caller.
+  void Load(const CommittedState& cut);
   /// Applies one committed transaction's effects during WAL recovery:
   /// installs each after-image as a committed version at `commit_ts`,
   /// creating rows as needed, and advances the clock and the row-id
@@ -216,16 +184,6 @@ class Store {
 
   /// Current timestamp (last assigned commit ts); snapshot start time.
   Timestamp CurrentTs() const { return clock_.load(); }
-
-  /// Captures the full committed state for later Restore. Must be taken
-  /// while no transaction is in flight (no uncommitted images); typically
-  /// right after workload setup.
-  std::shared_ptr<const StoreCheckpoint> Checkpoint() const;
-  /// Resets the store to a captured state: drops every item version, row
-  /// version, uncommitted image, and touch record accumulated since, and
-  /// rewinds the commit clock to the capture's value. Any transaction still
-  /// in flight against this store must be abandoned by the caller.
-  void Restore(const StoreCheckpoint& cp);
 
   /// Garbage-collects version history: for every item and row, drops all
   /// committed versions except the newest one visible at `horizon` and
@@ -236,31 +194,14 @@ class Store {
   size_t PruneVersionsBefore(Timestamp horizon);
 
   // ---- analysis / oracle bridge ----
-  /// Captures the committed-latest state as a map context (items + tables).
+  /// The committed view as a map context (items + tables).
   MapEvalContext SnapshotToMap() const;
-  /// Multiset of committed-latest tuples of a table (order-insensitive).
-  std::vector<Tuple> CommittedTuples(const std::string& table) const;
 
  private:
-  struct ItemVersion {
-    Timestamp commit_ts = 0;
-    Value value;
-  };
-
-  struct ItemEntry {
-    std::vector<ItemVersion> versions;  ///< ascending commit_ts
-    std::optional<TxnId> uncommitted_owner;
-    Value uncommitted;
-  };
-
   struct TxnTouches {
     std::set<std::string> items;
     std::set<std::pair<std::string, RowId>> rows;
   };
-
-  Result<Value> ReadItemInternal(const std::string& name, Timestamp ts) const;
-
-  friend class StoreCheckpoint;
 
   mutable std::mutex mu_;
   std::map<std::string, ItemEntry> items_;

@@ -14,6 +14,29 @@ using TxnId = uint64_t;
 using RowId = uint64_t;
 using Timestamp = uint64_t;
 
+/// Which version a read may see — the one decision that tells the isolation
+/// levels apart (Berenson et al.). Every read of the store names one.
+///
+///   kind        image shown                          writer reported
+///   latest      pending image, else newest committed pending writer
+///   committed   newest committed                     none
+///   snapshot    newest committed at or before ts     none
+///   own         txn's pending image, else committed  txn, if its image shows
+///   locking     as latest, but a pending delete      pending writer
+///               shows the committed image it removes
+struct ReadView {
+  enum class Kind { kLatest, kCommitted, kSnapshot, kOwn, kLocking };
+  Kind kind = Kind::kCommitted;
+  Timestamp ts = 0;  ///< kSnapshot: the snapshot's timestamp
+  TxnId txn = 0;     ///< kOwn: whose pending images show through
+
+  static ReadView Latest() { return {Kind::kLatest}; }
+  static ReadView Committed() { return {Kind::kCommitted}; }
+  static ReadView Snapshot(Timestamp ts) { return {Kind::kSnapshot, ts}; }
+  static ReadView Own(TxnId txn) { return {Kind::kOwn, 0, txn}; }
+  static ReadView Locking() { return {Kind::kLocking}; }
+};
+
 /// The newest version in `versions` (ascending commit_ts, ties allowed)
 /// with commit_ts <= ts, or null when every version is newer. Scans from the
 /// back: a snapshot read almost always wants one of the last few versions,
@@ -28,30 +51,71 @@ const Version* NewestVisible(const std::vector<Version>& versions,
   return nullptr;
 }
 
-/// One committed version of a row. `tuple == nullopt` encodes deletion (a
-/// tombstone); a row that has never been committed has no versions.
-struct RowVersion {
+/// A row image of nullopt encodes deletion (a tombstone); items are never
+/// deleted.
+inline bool IsDelete(const std::optional<Tuple>& image) { return !image; }
+inline bool IsDelete(const Value&) { return false; }
+
+/// One committed version of an item or row.
+template <typename Image>
+struct Version {
   Timestamp commit_ts = 0;
-  std::optional<Tuple> tuple;
+  Image image;
 };
 
-/// Version chain for one row plus at most one uncommitted image owned by a
-/// single transaction (writers are serialized per row by the lock manager;
-/// SNAPSHOT writers install their images atomically at commit).
-struct RowEntry {
-  std::vector<RowVersion> versions;  ///< ascending commit_ts
+/// Version chain for one item or row plus at most one uncommitted image
+/// owned by a single transaction (writers are serialized per entry by the
+/// lock manager; SNAPSHOT writers install their images atomically at
+/// commit). A row that has never been committed has no versions.
+template <typename ImageT>
+struct VersionChain {
+  using Image = ImageT;
+
+  std::vector<Version<Image>> versions;  ///< ascending commit_ts
   std::optional<TxnId> uncommitted_owner;
-  std::optional<Tuple> uncommitted;  ///< nullopt = uncommitted delete
+  Image uncommitted;
 
-  /// Latest image including a pending uncommitted one (dirty read).
-  const std::optional<Tuple>* Latest() const;
-  /// Latest committed image.
-  const std::optional<Tuple>* LatestCommitted() const;
-  /// Image visible at snapshot `ts` (largest commit_ts <= ts).
-  const std::optional<Tuple>* AtSnapshot(Timestamp ts) const;
+  /// The image this entry shows under `view`, or null when none is visible
+  /// (an insert not yet committed, a snapshot older than every version).
+  /// `*writer` receives the transaction reported with it (see ReadView).
+  const Image* Visible(const ReadView& view,
+                       std::optional<TxnId>* writer) const {
+    writer->reset();
+    const Image* committed =
+        versions.empty() ? nullptr : &versions.back().image;
+    switch (view.kind) {
+      case ReadView::Kind::kCommitted:
+        return committed;
+      case ReadView::Kind::kSnapshot: {
+        const Version<Image>* visible = NewestVisible(versions, view.ts);
+        return visible == nullptr ? nullptr : &visible->image;
+      }
+      case ReadView::Kind::kOwn:
+        if (uncommitted_owner != view.txn) return committed;
+        *writer = view.txn;
+        return &uncommitted;
+      case ReadView::Kind::kLatest:
+      case ReadView::Kind::kLocking:
+        if (!uncommitted_owner) return committed;
+        *writer = uncommitted_owner;
+        // A locking reader must see a pending delete to wait for it.
+        if (view.kind == ReadView::Kind::kLocking && IsDelete(uncommitted)) {
+          return committed;
+        }
+        return &uncommitted;
+    }
+    return nullptr;
+  }
+
   /// Commit timestamp of the newest committed version (0 if none).
-  Timestamp LastCommitTs() const;
+  Timestamp LastCommitTs() const {
+    return versions.empty() ? 0 : versions.back().commit_ts;
+  }
 };
+
+using ItemEntry = VersionChain<Value>;
+using RowEntry = VersionChain<std::optional<Tuple>>;
+using RowVersion = Version<std::optional<Tuple>>;
 
 /// Versioned relational table. Not thread-safe on its own; the Store
 /// serializes access.

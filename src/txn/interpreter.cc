@@ -115,9 +115,9 @@ void ProgramRun::EnsureBegun() {
   // Capture logical variables (initial values of the bound items) from the
   // committed state at start.
   for (const auto& [logical, item] : program_->logical_bindings) {
-    Result<Value> v = txn_->snapshot
-                          ? txn_->snapshot->ReadItem(item)
-                          : mgr_->store()->ReadItemCommitted(item);
+    Result<Value> v =
+        txn_->snapshot ? txn_->snapshot->ReadItem(item)
+                       : mgr_->store()->ReadItem(item, ReadView::Committed());
     if (!v.ok()) {
       failure_ = v.status();
       return;

@@ -72,7 +72,7 @@ Status TxnManager::ReadItem(Txn* txn, const std::string& name, Value* out,
     Status s = locks_->AcquireItem(txn->id, name, LockMode::kShared, wait);
     if (!s.ok()) return s;
   }
-  Result<Value> v = store_->ReadItemLatest(name);
+  Result<Value> v = store_->ReadItem(name, ReadView::Latest());
   if (!txn->policy.read_locks && v.ok()) {
     // READ UNCOMMITTED: classify the dirty read. A pending foreign image is
     // a dirty read; if its writer is mid-rollback the value is a
@@ -151,8 +151,9 @@ Status TxnManager::LockingSelect(
   // reads) can be counted.
   if (!txn->policy.read_locks) {
     Status inner = Status::Ok();
-    Status s = store_->ScanLatestWithWriter(
-        table, [&](RowId row, const Tuple& t, std::optional<TxnId> writer) {
+    Status s = store_->Scan(
+        table, ReadView::Latest(),
+        [&](RowId row, const Tuple& t, std::optional<TxnId> writer) {
           if (!inner.ok()) return;
           Result<bool> match = EvalTuplePred(pred, t, empty);
           if (!match.ok()) {
@@ -178,8 +179,9 @@ Status TxnManager::LockingSelect(
   std::vector<Candidate> candidates;
   {
     Status inner = Status::Ok();
-    Status s = store_->ScanWithPending(
-        table, [&](RowId row, const Tuple& t, std::optional<TxnId> owner) {
+    Status s = store_->Scan(
+        table, ReadView::Locking(),
+        [&](RowId row, const Tuple& t, std::optional<TxnId> owner) {
           if (!inner.ok()) return;
           const bool pending = owner && *owner != txn->id;
           Result<bool> match = EvalTuplePred(pred, t, empty);
@@ -234,16 +236,17 @@ Status TxnManager::LockMatchingRows(
   std::vector<RowId> candidates;
   {
     Status inner = Status::Ok();
-    Status s = store_->Scan(table, Store::kLatest,
-                            [&](RowId row, const Tuple& t) {
-                              if (!inner.ok()) return;
-                              Result<bool> match = EvalTuplePred(pred, t, empty);
-                              if (!match.ok()) {
-                                inner = match.status();
-                                return;
-                              }
-                              if (match.value()) candidates.push_back(row);
-                            });
+    Status s = store_->Scan(
+        table, ReadView::Latest(),
+        [&](RowId row, const Tuple& t, std::optional<TxnId>) {
+          if (!inner.ok()) return;
+          Result<bool> match = EvalTuplePred(pred, t, empty);
+          if (!match.ok()) {
+            inner = match.status();
+            return;
+          }
+          if (match.value()) candidates.push_back(row);
+        });
     if (!s.ok()) return s;
     if (!inner.ok()) return inner;
   }

@@ -80,7 +80,7 @@ RecoveryResult RecoverFromBytes(std::string_view log, Store* store) {
 
   if (cp_index != scan.records.size()) {
     const auto& cp = std::get<CheckpointBody>(scan.records[cp_index].body);
-    store->LoadCommittedState(cp.state);
+    store->Load(cp.state);
     out.found_checkpoint = true;
     out.recovered_commits = cp.committed_total;
     for (TxnId txn : cp.active) {
@@ -441,7 +441,7 @@ Status WriteAheadLog::CheckpointLocked() {
   Record rec;
   rec.type = RecordType::kCheckpoint;
   CheckpointBody body;
-  body.state = store_->DumpCommittedState();
+  body.state = store_->CommittedCut();
   body.active.assign(active_.begin(), active_.end());
   body.committed_total = committed_base_ + stats_.commits_logged;
   rec.body = std::move(body);

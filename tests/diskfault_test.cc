@@ -136,7 +136,7 @@ bool CommitWrite(TxnManager* mgr, const std::string& item, int64_t v) {
 }
 
 int64_t ItemValue(const Store& store, const std::string& name) {
-  Result<Value> v = store.ReadItemCommitted(name);
+  Result<Value> v = store.ReadItem(name, ReadView::Committed());
   EXPECT_TRUE(v.ok());
   return v.value().AsInt();
 }

@@ -75,7 +75,7 @@ TEST(FairnessTest, NonBlockingRequestsNeverCutTheQueue) {
   upgrader.join();
 }
 
-TEST(StoreVisibilityTest, ScanWithPendingReportsOwners) {
+TEST(StoreVisibilityTest, LockingScanReportsOwners) {
   Store store;
   ASSERT_TRUE(store
                   .CreateTable("T", Schema({{"k", Value::Type::kInt},
@@ -89,17 +89,17 @@ TEST(StoreVisibilityTest, ScanWithPendingReportsOwners) {
   ASSERT_TRUE(dirty.ok());
   std::map<int64_t, std::optional<TxnId>> seen;
   ASSERT_TRUE(store
-                  .ScanWithPending("T", [&](RowId, const Tuple& t,
-                                            std::optional<TxnId> owner) {
-                    seen[t.at("k").AsInt()] = owner;
-                  })
+                  .Scan("T", ReadView::Locking(),
+                        [&](RowId, const Tuple& t, std::optional<TxnId> owner) {
+                          seen[t.at("k").AsInt()] = owner;
+                        })
                   .ok());
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_FALSE(seen[1].has_value());
   EXPECT_EQ(seen[2], std::optional<TxnId>(9));
 }
 
-TEST(StoreVisibilityTest, ScanWithPendingShowsCommittedImageOfPendingDelete) {
+TEST(StoreVisibilityTest, LockingScanShowsCommittedImageOfPendingDelete) {
   Store store;
   ASSERT_TRUE(store
                   .CreateTable("T", Schema({{"k", Value::Type::kInt},
@@ -112,24 +112,24 @@ TEST(StoreVisibilityTest, ScanWithPendingShowsCommittedImageOfPendingDelete) {
   int visits = 0;
   std::optional<TxnId> owner;
   ASSERT_TRUE(store
-                  .ScanWithPending("T", [&](RowId, const Tuple&,
-                                            std::optional<TxnId> o) {
-                    ++visits;
-                    owner = o;
-                  })
+                  .Scan("T", ReadView::Locking(),
+                        [&](RowId, const Tuple&, std::optional<TxnId> o) {
+                          ++visits;
+                          owner = o;
+                        })
                   .ok());
   // The committed image is surfaced with its pending deleter so readers
-  // know to wait (plain kLatest scans would hide the row entirely).
+  // know to wait (latest-view scans would hide the row entirely).
   EXPECT_EQ(visits, 1);
   EXPECT_EQ(owner, std::optional<TxnId>(5));
 }
 
-TEST(StoreVisibilityTest, ReadItemForTxnPrefersOwnImage) {
+TEST(StoreVisibilityTest, OwnViewPrefersOwnImage) {
   Store store;
   ASSERT_TRUE(store.CreateItem("x", Value::Int(1)).ok());
   ASSERT_TRUE(store.WriteItemUncommitted(7, "x", Value::Int(9)).ok());
-  EXPECT_EQ(store.ReadItemForTxn("x", 7).value().AsInt(), 9);   // own image
-  EXPECT_EQ(store.ReadItemForTxn("x", 8).value().AsInt(), 1);   // committed
+  EXPECT_EQ(store.ReadItem("x", ReadView::Own(7)).value().AsInt(), 9);  // own
+  EXPECT_EQ(store.ReadItem("x", ReadView::Own(8)).value().AsInt(), 1);
 }
 
 }  // namespace

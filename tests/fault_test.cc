@@ -131,20 +131,20 @@ TEST_F(FaultRunTest, CrashBeforeCommitUnwindsOneUndoWritePerStep) {
   ASSERT_EQ(run.Step(false), StepOutcome::kRollingBack);
   EXPECT_TRUE(run.rolling_back());
   EXPECT_FALSE(run.last_step_applied_undo());
-  EXPECT_EQ(store_.ReadItemLatest("x").value().AsInt(), 2);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Latest()).value().AsInt(), 2);
   // First undo write restores the intermediate image...
   ASSERT_EQ(run.Step(false), StepOutcome::kRollingBack);
   EXPECT_TRUE(run.last_step_applied_undo());
-  EXPECT_EQ(store_.ReadItemLatest("x").value().AsInt(), 1);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Latest()).value().AsInt(), 1);
   // ...the second clears the transaction's image entirely...
   ASSERT_EQ(run.Step(false), StepOutcome::kRollingBack);
-  EXPECT_EQ(store_.ReadItemLatest("x").value().AsInt(), 10);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Latest()).value().AsInt(), 10);
   // ...and the finishing step releases locks and retires the transaction.
   const TxnId id = run.txn().id;
   EXPECT_GT(locks_.HeldCount(id), 0u);
   ASSERT_EQ(run.Step(false), StepOutcome::kAborted);
   EXPECT_EQ(locks_.HeldCount(id), 0u);
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 10);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 10);
   EXPECT_EQ(log_.size(), 0u);
 }
 
@@ -162,7 +162,7 @@ TEST_F(FaultRunTest, AtomicRollbackStaysSingleStep) {
   ASSERT_EQ(run.Step(false), StepOutcome::kRunning);
   ASSERT_EQ(run.Step(false), StepOutcome::kAborted);
   EXPECT_EQ(run.failure().code(), Code::kAborted);
-  EXPECT_EQ(store_.ReadItemLatest("x").value().AsInt(), 10);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Latest()).value().AsInt(), 10);
 }
 
 TEST_F(FaultRunTest, ForcedAbortAtStatementSiteRollsBackStepwise) {
@@ -177,9 +177,9 @@ TEST_F(FaultRunTest, ForcedAbortAtStatementSiteRollsBackStepwise) {
   ASSERT_EQ(run.Step(false), StepOutcome::kRunning);       // read
   ASSERT_EQ(run.Step(false), StepOutcome::kRunning);       // x := 1
   ASSERT_EQ(run.Step(false), StepOutcome::kRollingBack);   // fault before x := 2
-  EXPECT_EQ(store_.ReadItemLatest("x").value().AsInt(), 1);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Latest()).value().AsInt(), 1);
   ASSERT_EQ(run.Step(false), StepOutcome::kRollingBack);   // undo x := 1
-  EXPECT_EQ(store_.ReadItemLatest("x").value().AsInt(), 10);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Latest()).value().AsInt(), 10);
   ASSERT_EQ(run.Step(false), StepOutcome::kAborted);
 }
 
@@ -197,7 +197,7 @@ TEST_F(FaultRunTest, TransientLockFailureRetriesInTryLockMode) {
   ASSERT_EQ(run.Step(false), StepOutcome::kRunning);
   ASSERT_EQ(run.Step(false), StepOutcome::kRunning);
   ASSERT_EQ(run.Step(false), StepOutcome::kCommitted);
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 2);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 2);
 }
 
 TEST_F(FaultRunTest, LockGrantFaultVetoesTheGrant) {
@@ -234,19 +234,19 @@ TEST_F(FaultRunTest, InsertUndoRemovesTheRow) {
   ASSERT_EQ(run.Step(false), StepOutcome::kRollingBack);  // fault at commit
   long rows_mid = 0;
   ASSERT_TRUE(store_
-                  .ScanLatestWithWriter("T", [&](RowId, const Tuple&,
-                                                 std::optional<TxnId>) {
-                    ++rows_mid;
-                  })
+                  .Scan("T", ReadView::Latest(),
+                        [&](RowId, const Tuple&, std::optional<TxnId>) {
+                          ++rows_mid;
+                        })
                   .ok());
   EXPECT_EQ(rows_mid, 1);  // the dirty row is visible mid-rollback
   ASSERT_EQ(run.Step(false), StepOutcome::kRollingBack);  // undo the insert
   long rows_after = 0;
   ASSERT_TRUE(store_
-                  .ScanLatestWithWriter("T", [&](RowId, const Tuple&,
-                                                 std::optional<TxnId>) {
-                    ++rows_after;
-                  })
+                  .Scan("T", ReadView::Latest(),
+                        [&](RowId, const Tuple&, std::optional<TxnId>) {
+                          ++rows_after;
+                        })
                   .ok());
   EXPECT_EQ(rows_after, 0);
   ASSERT_EQ(run.Step(false), StepOutcome::kAborted);
@@ -303,7 +303,7 @@ TEST_F(FaultRunTest, ForceAbortCompletesAnInProgressRollback) {
   EXPECT_TRUE(run.Done());
   // The wholesale abort discarded every remaining image and lock; the
   // original fault reason is preserved over the ForceAbort reason.
-  EXPECT_EQ(store_.ReadItemLatest("x").value().AsInt(), 10);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Latest()).value().AsInt(), 10);
   EXPECT_EQ(locks_.HeldCount(run.txn().id), 0u);
   EXPECT_EQ(run.failure().code(), Code::kAborted);
 }

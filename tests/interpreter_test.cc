@@ -44,7 +44,7 @@ TEST_F(InterpreterTest, StepThroughAndCommit) {
   ASSERT_EQ(run.Step(false), StepOutcome::kCommitted);
   EXPECT_TRUE(run.Done());
   EXPECT_EQ(log_.size(), 1u);
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 11);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 11);
 }
 
 TEST_F(InterpreterTest, ExplicitAbortRollsBack) {
@@ -55,7 +55,7 @@ TEST_F(InterpreterTest, ExplicitAbortRollsBack) {
                  IsoLevel::kReadCommitted, &log_);
   EXPECT_EQ(run.RunToCompletion(), StepOutcome::kAborted);
   EXPECT_EQ(run.failure().code(), Code::kAborted);
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 10);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 10);
   EXPECT_EQ(log_.size(), 0u);
   EXPECT_EQ(locks_.HeldCount(run.txn().id), 0u);
 }
@@ -100,7 +100,7 @@ TEST_F(InterpreterTest, WhileLoopExecutes) {
   ProgramRun run(&mgr_, std::make_shared<TxnProgram>(b.Build({})),
                  IsoLevel::kSerializable, &log_);
   EXPECT_EQ(run.RunToCompletion(), StepOutcome::kCommitted);
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 13);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 13);
 }
 
 TEST_F(InterpreterTest, PredicatesCloseOverLocalsAndParams) {
@@ -163,7 +163,7 @@ TEST_F(InterpreterTest, SnapshotRunCapturesLogicalsFromSnapshot) {
                  IsoLevel::kSnapshot, &log_);
   EXPECT_EQ(run.RunToCompletion(), StepOutcome::kCommitted);
   EXPECT_EQ(run.txn().logicals.at("X0").AsInt(), 10);
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 15);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 15);
 }
 
 }  // namespace

@@ -89,8 +89,8 @@ TEST_F(SnapshotViewTest, CommitInstallsAtomically) {
   ASSERT_TRUE(view.DeleteRow("T", row_).ok());
   Result<Timestamp> ts = view.Commit(7);
   ASSERT_TRUE(ts.ok());
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 42);
-  std::vector<Tuple> tuples = store_.CommittedTuples("T");
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 42);
+  std::vector<Tuple> tuples = store_.SnapshotToMap().tables().at("T");
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].at("k").AsInt(), 3);
 }
@@ -146,8 +146,8 @@ TEST_F(SnapshotViewTest, WriteSkewAdmitted) {
   EXPECT_TRUE(v1.Commit(1).ok());
   EXPECT_TRUE(v2.Commit(2).ok());
   // The combined-balance constraint is now violated.
-  EXPECT_LT(store_.ReadItemCommitted("sav").value().AsInt() +
-                store_.ReadItemCommitted("ch").value().AsInt(),
+  EXPECT_LT(store_.ReadItem("sav", ReadView::Committed()).value().AsInt() +
+                store_.ReadItem("ch", ReadView::Committed()).value().AsInt(),
             0);
 }
 
@@ -158,7 +158,7 @@ TEST_F(SnapshotViewTest, InsertsNeverConflict) {
   v2.InsertRow("T", {{"k", Value::Int(7)}, {"v", Value::Int(2)}});
   EXPECT_TRUE(v1.Commit(1).ok());
   EXPECT_TRUE(v2.Commit(2).ok());  // phantom-style duplicate admitted
-  EXPECT_EQ(store_.CommittedTuples("T").size(), 3u);
+  EXPECT_EQ(store_.SnapshotToMap().tables().at("T").size(), 3u);
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ TEST_F(OracleTest, RelationalTablesCompared) {
   OracleReport report =
       CheckSemanticCorrectness(initial, store_, log_, w.app.invariant);
   EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_EQ(store_.CommittedTuples("ORDERS").size(), 6u);
+  EXPECT_EQ(store_.SnapshotToMap().tables().at("ORDERS").size(), 6u);
 }
 
 TEST_F(OracleTest, SerialReplayDetectsTableDivergence) {

@@ -12,6 +12,10 @@ class ScheduleTest : public ::testing::Test {
  protected:
   ScheduleTest() : mgr_(&store_, &locks_) {}
 
+  int64_t CommittedInt(const std::string& item) const {
+    return store_.ReadItem(item, ReadView::Committed()).value().AsInt();
+  }
+
   Store store_;
   LockManager locks_;
   TxnManager mgr_;
@@ -36,7 +40,7 @@ TEST_F(ScheduleTest, SerialBankingExecution) {
   EXPECT_EQ(driver.run(0).outcome(), StepOutcome::kCommitted);
   EXPECT_EQ(driver.run(1).outcome(), StepOutcome::kCommitted);
   // 10 + 5 - 3 = 12.
-  EXPECT_EQ(store_.ReadItemCommitted("acct_sav[1].bal").value().AsInt(), 12);
+  EXPECT_EQ(CommittedInt("acct_sav[1].bal"), 12);
   EXPECT_EQ(log_.size(), 2u);
 }
 
@@ -57,8 +61,8 @@ TEST_F(ScheduleTest, WriteSkewUnderSnapshot) {
   driver.RunRoundRobin();
   EXPECT_EQ(driver.run(0).outcome(), StepOutcome::kCommitted);
   EXPECT_EQ(driver.run(1).outcome(), StepOutcome::kCommitted);
-  const int64_t sav = store_.ReadItemCommitted("acct_sav[1].bal").value().AsInt();
-  const int64_t ch = store_.ReadItemCommitted("acct_ch[1].bal").value().AsInt();
+  const int64_t sav = CommittedInt("acct_sav[1].bal");
+  const int64_t ch = CommittedInt("acct_ch[1].bal");
   EXPECT_LT(sav + ch, 0) << "write skew should violate the invariant";
 }
 
@@ -75,8 +79,8 @@ TEST_F(ScheduleTest, WriteSkewPreventedAtSerializable) {
                  .value(),
              IsoLevel::kSerializable);
   driver.RunRoundRobin();
-  const int64_t sav = store_.ReadItemCommitted("acct_sav[1].bal").value().AsInt();
-  const int64_t ch = store_.ReadItemCommitted("acct_ch[1].bal").value().AsInt();
+  const int64_t sav = CommittedInt("acct_sav[1].bal");
+  const int64_t ch = CommittedInt("acct_ch[1].bal");
   EXPECT_GE(sav + ch, 0);
 }
 
@@ -97,8 +101,8 @@ TEST_F(ScheduleTest, SameItemConflictResolvedByFcwUnderSnapshot) {
   const int committed = (driver.run(0).outcome() == StepOutcome::kCommitted) +
                         (driver.run(1).outcome() == StepOutcome::kCommitted);
   EXPECT_EQ(committed, 1);
-  EXPECT_GE(store_.ReadItemCommitted("acct_sav[1].bal").value().AsInt() +
-                store_.ReadItemCommitted("acct_ch[1].bal").value().AsInt(),
+  EXPECT_GE(CommittedInt("acct_sav[1].bal") +
+                CommittedInt("acct_ch[1].bal"),
             0);
 }
 
@@ -157,7 +161,7 @@ TEST_F(ScheduleTest, LostUpdateAtReadCommitted) {
   driver.RunSchedule({0, 1});  // both read 10
   driver.RunRoundRobin();
   // One deposit is lost: 10+5 or 10+7, not 10+5+7.
-  const int64_t bal = store_.ReadItemCommitted("acct_sav[1].bal").value().AsInt();
+  const int64_t bal = CommittedInt("acct_sav[1].bal");
   EXPECT_TRUE(bal == 15 || bal == 17) << bal;
 }
 
@@ -178,7 +182,7 @@ TEST_F(ScheduleTest, LostUpdatePreventedByFcw) {
   const int committed = (driver.run(0).outcome() == StepOutcome::kCommitted) +
                         (driver.run(1).outcome() == StepOutcome::kCommitted);
   EXPECT_EQ(committed, 1);  // the stale writer aborted
-  const int64_t bal = store_.ReadItemCommitted("acct_sav[1].bal").value().AsInt();
+  const int64_t bal = CommittedInt("acct_sav[1].bal");
   EXPECT_TRUE(bal == 15 || bal == 17) << bal;
 }
 
@@ -220,8 +224,8 @@ TEST_F(ScheduleTest, NewOrderLostCounterUpdateAtReadCommitted) {
   driver.RunRoundRobin();
   // Both committed; the one-order-per-day rule is now broken:
   // 7 orders but maximum_date == 6.
-  EXPECT_EQ(store_.CommittedTuples("ORDERS").size(), 7u);
-  EXPECT_EQ(store_.ReadItemCommitted("maximum_date").value().AsInt(), 6);
+  EXPECT_EQ(store_.SnapshotToMap().tables().at("ORDERS").size(), 7u);
+  EXPECT_EQ(CommittedInt("maximum_date"), 6);
 }
 
 TEST_F(ScheduleTest, NewOrderCounterRaceAbortedAtFcw) {
@@ -242,8 +246,8 @@ TEST_F(ScheduleTest, NewOrderCounterRaceAbortedAtFcw) {
   const int committed = (driver.run(0).outcome() == StepOutcome::kCommitted) +
                         (driver.run(1).outcome() == StepOutcome::kCommitted);
   EXPECT_EQ(committed, 1);
-  EXPECT_EQ(store_.CommittedTuples("ORDERS").size(), 6u);
-  EXPECT_EQ(store_.ReadItemCommitted("maximum_date").value().AsInt(), 6);
+  EXPECT_EQ(store_.SnapshotToMap().tables().at("ORDERS").size(), 6u);
+  EXPECT_EQ(CommittedInt("maximum_date"), 6);
 }
 
 TEST_F(ScheduleTest, AuditPhantomAtRepeatableRead) {
@@ -311,7 +315,7 @@ TEST_F(ScheduleTest, BlockedUpdateRetryDoesNotDoubleApply) {
   driver.RunRoundRobin();
   ASSERT_EQ(driver.run(0).outcome(), StepOutcome::kCommitted);
   ASSERT_EQ(driver.run(1).outcome(), StepOutcome::kCommitted);
-  for (const Tuple& t : store_.CommittedTuples("EMP")) {
+  for (const Tuple& t : store_.SnapshotToMap().tables().at("EMP")) {
     if (t.at("id").AsInt() == 1) {
       EXPECT_EQ(t.at("num_hrs").AsInt(), 8 + 4 + 2);
       EXPECT_EQ(t.at("sal").AsInt(), 10 * (8 + 4 + 2));

@@ -108,7 +108,7 @@ TEST_F(TxnManagerTest, FcwPassesWhenUnchanged) {
   ASSERT_TRUE(mgr_.ReadItem(t1.get(), "x", &v, false).ok());
   EXPECT_TRUE(mgr_.WriteItem(t1.get(), "x", Value::Int(88), false).ok());
   EXPECT_TRUE(mgr_.Commit(t1.get()).ok());
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 88);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 88);
 }
 
 TEST_F(TxnManagerTest, SelectRowsWithPredicate) {
@@ -130,7 +130,7 @@ TEST_F(TxnManagerTest, UpdateRowsAppliesSets) {
                   .ok());
   EXPECT_EQ(updated, 1);
   ASSERT_TRUE(mgr_.Commit(t.get()).ok());
-  std::vector<Tuple> tuples = store_.CommittedTuples("T");
+  std::vector<Tuple> tuples = store_.SnapshotToMap().tables().at("T");
   for (const Tuple& tuple : tuples) {
     if (tuple.at("k").AsInt() == 1) {
       EXPECT_EQ(tuple.at("v").AsInt(), 15);
@@ -145,7 +145,7 @@ TEST_F(TxnManagerTest, DeleteRows) {
       mgr_.DeleteRows(t.get(), "T", True(), false, &deleted).ok());
   EXPECT_EQ(deleted, 2);
   ASSERT_TRUE(mgr_.Commit(t.get()).ok());
-  EXPECT_TRUE(store_.CommittedTuples("T").empty());
+  EXPECT_TRUE(store_.SnapshotToMap().tables().at("T").empty());
 }
 
 TEST_F(TxnManagerTest, InsertVisibleAfterCommitOnly) {
@@ -154,9 +154,9 @@ TEST_F(TxnManagerTest, InsertVisibleAfterCommitOnly) {
                              {{"k", Value::Int(3)}, {"v", Value::Int(7)}},
                              false)
                   .ok());
-  EXPECT_EQ(store_.CommittedTuples("T").size(), 2u);
+  EXPECT_EQ(store_.SnapshotToMap().tables().at("T").size(), 2u);
   ASSERT_TRUE(mgr_.Commit(t.get()).ok());
-  EXPECT_EQ(store_.CommittedTuples("T").size(), 3u);
+  EXPECT_EQ(store_.SnapshotToMap().tables().at("T").size(), 3u);
 }
 
 TEST_F(TxnManagerTest, SerializablePredicateLockBlocksPhantomInsert) {
@@ -205,12 +205,12 @@ TEST_F(TxnManagerTest, SnapshotLevelReadsSnapshotAndDefersWrites) {
   EXPECT_EQ(v.AsInt(), 10);
   ASSERT_TRUE(mgr_.WriteItem(snap.get(), "x", Value::Int(44), false).ok());
   // Deferred: not even dirty-visible.
-  EXPECT_EQ(store_.ReadItemLatest("x").value().AsInt(), 10);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Latest()).value().AsInt(), 10);
   // Own read sees the buffered write.
   ASSERT_TRUE(mgr_.ReadItem(snap.get(), "x", &v, false).ok());
   EXPECT_EQ(v.AsInt(), 44);
   ASSERT_TRUE(mgr_.Commit(snap.get()).ok());
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 44);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 44);
 }
 
 TEST_F(TxnManagerTest, SnapshotCommitConflictAborts) {
@@ -222,7 +222,7 @@ TEST_F(TxnManagerTest, SnapshotCommitConflictAborts) {
   Status s = mgr_.Commit(snap.get());
   EXPECT_EQ(s.code(), Code::kConflict);
   EXPECT_EQ(snap->state, Txn::State::kAborted);
-  EXPECT_EQ(store_.ReadItemCommitted("x").value().AsInt(), 55);
+  EXPECT_EQ(store_.ReadItem("x", ReadView::Committed()).value().AsInt(), 55);
 }
 
 TEST_F(TxnManagerTest, AbortReleasesEverything) {
@@ -232,7 +232,7 @@ TEST_F(TxnManagerTest, AbortReleasesEverything) {
   ASSERT_TRUE(mgr_.WriteItem(t.get(), "y", Value::Int(0), false).ok());
   mgr_.Abort(t.get());
   EXPECT_EQ(locks_.HeldCount(t->id), 0u);
-  EXPECT_EQ(store_.ReadItemCommitted("y").value().AsInt(), 20);
+  EXPECT_EQ(store_.ReadItem("y", ReadView::Committed()).value().AsInt(), 20);
 }
 
 TEST(SsiConcurrencyTest, WriteSkewNeverCommitsWhileBeginsRaceCommits) {
@@ -281,8 +281,8 @@ TEST(SsiConcurrencyTest, WriteSkewNeverCommitsWhileBeginsRaceCommits) {
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(violations.load(), 0);
   EXPECT_GT(committed.load(), 0);
-  EXPECT_GE(store.ReadItemCommitted("x").value().AsInt() +
-                store.ReadItemCommitted("y").value().AsInt(),
+  EXPECT_GE(store.ReadItem("x", ReadView::Committed()).value().AsInt() +
+                store.ReadItem("y", ReadView::Committed()).value().AsInt(),
             1);
 }
 

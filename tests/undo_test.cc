@@ -145,12 +145,12 @@ TEST(UndoTest, ReadUncommittedObservesMidRollbackValue) {
   EXPECT_EQ(driver.run(r).txn().undo_dirty_reads, 1);
   ASSERT_EQ(driver.Step(w), StepOutcome::kRollingBack);  // u1: restore x = 0
   EXPECT_EQ(undo_steps, 1);
-  EXPECT_EQ(store.ReadItemLatest("x").value().AsInt(), 0);
+  EXPECT_EQ(store.ReadItem("x", ReadView::Latest()).value().AsInt(), 0);
   ASSERT_EQ(driver.Step(w), StepOutcome::kAborted);      // release locks
   ASSERT_EQ(driver.Step(r), StepOutcome::kCommitted);
   // The reader committed a value no committed state ever contained — the
   // inconsistency Theorem 1's non-interference conditions exist to exclude.
-  EXPECT_EQ(store.ReadItemCommitted("x").value().AsInt(), 0);
+  EXPECT_EQ(store.ReadItem("x", ReadView::Committed()).value().AsInt(), 0);
 }
 
 // ---- ReadStepPostcondition (Theorem 5's two-step model) ----
