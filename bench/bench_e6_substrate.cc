@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "lock/lock_manager.h"
-#include "lock/ref_lock_manager.h"
 #include "mvcc/version_store.h"
 #include "sem/expr/eval.h"
 #include "sem/logic/decide.h"
@@ -43,35 +42,6 @@ void BM_LockConflictCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LockConflictCheck);
-
-// Same two hot paths on the retained single-mutex reference manager: the
-// pre-sharding implementation, kept verbatim for differential testing.
-// Comparing BM_Lock* against BM_RefLock* in one run is the like-for-like
-// measurement of the sharding overhead on an uncontended thread.
-
-void BM_RefLockAcquireRelease(benchmark::State& state) {
-  RefLockManager lm;
-  TxnId txn = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        lm.AcquireItem(txn, "x", LockMode::kExclusive, false));
-    lm.ReleaseItem(txn, "x");
-    ++txn;
-  }
-}
-BENCHMARK(BM_RefLockAcquireRelease);
-
-void BM_RefLockConflictCheck(benchmark::State& state) {
-  RefLockManager lm;
-  for (TxnId t = 1; t <= 8; ++t) {
-    (void)lm.AcquireItem(t, "hot", LockMode::kShared, false);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        lm.AcquireItem(99, "hot", LockMode::kExclusive, false));
-  }
-}
-BENCHMARK(BM_RefLockConflictCheck);
 
 // Sharded-lock contention probes. The manager lives in a function-local
 // static touched only by thread 0 before/after the iteration loop; the
@@ -150,13 +120,21 @@ void BM_StoreWriteCommitCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreWriteCommitCycle);
 
+// A table of `rows` rows whose attribute d splits them into 16-row buckets
+// (the shape of ORDERS by district, at a fixed size).
+void LoadBucketedTable(Store* store, int64_t rows) {
+  (void)store->CreateTable("T", Schema({{"d", Value::Type::kInt},
+                                        {"v", Value::Type::kInt}}));
+  for (int64_t i = 0; i < rows; ++i) {
+    (void)store->LoadRow("T", {{"d", Value::Int(i / 16)},
+                               {"v", Value::Int(i)}});
+  }
+}
+
+// The full scan: cost grows with the table.
 void BM_SnapshotScan(benchmark::State& state) {
   Store store;
-  (void)store.CreateTable("T", Schema({{"k", Value::Type::kInt},
-                                       {"v", Value::Type::kInt}}));
-  for (int i = 0; i < state.range(0); ++i) {
-    (void)store.LoadRow("T", {{"k", Value::Int(i)}, {"v", Value::Int(i)}});
-  }
+  LoadBucketedTable(&store, state.range(0));
   SnapshotView view(&store, store.CurrentTs());
   for (auto _ : state) {
     int64_t sum = 0;
@@ -167,7 +145,35 @@ void BM_SnapshotScan(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SnapshotScan)->Arg(16)->Arg(256);
+BENCHMARK(BM_SnapshotScan)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The same snapshot read bounded by `d = const`: it visits one 16-row
+// bucket, so the rows it evaluates do not grow with the table. Stride 0
+// reads one bucket over and over, so its rows stay cached; stride 7 walks
+// the buckets, so once the table outgrows the cache each scan's rows are
+// cold. The index is built by a scan before timing starts.
+void BM_BoundedScan(benchmark::State& state) {
+  Store store;
+  LoadBucketedTable(&store, state.range(0));
+  SnapshotView view(&store, store.CurrentTs());
+  const int64_t buckets = state.range(0) / 16;
+  const int64_t stride = state.range(1);
+  (void)view.Scan("T", [](RowId, const Tuple&) {},
+                  Eq(Attr("d"), Lit(int64_t{0})));
+  int64_t next = 0;
+  for (auto _ : state) {
+    const Expr where = Eq(Attr("d"), Lit(next));
+    next = (next + stride) % buckets;
+    int64_t sum = 0;
+    (void)view.Scan(
+        "T", [&](RowId, const Tuple& t) { sum += t.at("v").AsInt(); }, where);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_BoundedScan)
+    ->ArgNames({"rows", "stride"})
+    ->ArgsProduct({{1000, 10000, 100000}, {0, 7}});
 
 void BM_PredicateDisjointnessCheck(benchmark::State& state) {
   LockManager lm;

@@ -83,21 +83,26 @@ echo "$fault_out" | grep -q 'injected_faults=[1-9]'
 # The sharded lock manager's multi-threaded stress battery must also be
 # clean under ASan (use-after-free in the waiter queues would surface here),
 # as must the WAL suite (codec round-trips, crash-point recovery, and
-# committers sharing one fsync across threads).
-cmake --build build-asan -j"$(nproc)" --target lock_shard_test wal_test
-./build-asan/tests/lock_shard_test
-./build-asan/tests/wal_test
+# committers sharing one fsync across threads), and the store and
+# transaction suites (the bounded scans' equality index and its merge with
+# pending rows, differential against the full scan).
+cmake --build build-asan -j"$(nproc)" --target lock_shard_test wal_test \
+    storage_test txn_test
+for t in lock_shard_test wal_test storage_test txn_test; do
+  ./build-asan/tests/"$t"
+done
 
 # ThreadSanitizer stage: the sharded lock manager and the WAL (committers
 # fsyncing outside the append mutex) are the components with genuine
 # cross-thread mutation, so their batteries — plus the executor, fault,
 # network-server and chaos-proxy suites that drive them from worker threads —
-# must come up race-free.
+# must come up race-free. So must the store, whose const bounded scans build
+# the equality index under its mutex while writers install images.
 cmake -B build-tsan -S . -DSEMCOR_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target lock_test lock_shard_test \
-    executor_test fault_test net_test wal_test chaos_test
+    executor_test fault_test net_test wal_test chaos_test storage_test
 for t in lock_test lock_shard_test executor_test fault_test net_test wal_test \
-    chaos_test; do
+    chaos_test storage_test; do
   ./build-tsan/tests/"$t"
 done
 

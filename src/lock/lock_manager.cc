@@ -51,7 +51,7 @@ size_t LockManager::ShardIndex(const std::string& key) const {
   // Inline FNV-1a: lock keys are a handful of bytes, and this runs on the
   // uncontended acquire AND release paths — the out-of-line byte hash
   // behind std::hash<std::string> costs a measurable slice of the ~130 ns
-  // acquire/release cycle (BM_RefLockAcquireRelease vs BM_LockAcquireRelease).
+  // acquire/release cycle (E6's BM_LockAcquireRelease).
   uint64_t h = 1469598103934665603ULL;
   for (unsigned char c : key) {
     h ^= c;

@@ -29,8 +29,8 @@ namespace semcor {
 /// and touched only by requests that actually block, so the try-lock and
 /// uncontended-grant hot paths never take a second lock.
 ///
-/// External contract (identical to the retained single-mutex
-/// RefLockManager, asserted by tests/lock_shard_test.cc):
+/// External contract (identical to the single-mutex reference manager in
+/// tests/ref_lock_manager.h, asserted by tests/lock_shard_test.cc):
 ///  - per-key writer/reader FIFO fairness via per-shard tickets;
 ///  - non-blocking requests (the deterministic step driver) return
 ///    kWouldBlock instead of waiting and never touch the wait-for graph,

@@ -1,5 +1,8 @@
 #include "mvcc/version_store.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/str_util.h"
 
 namespace semcor {
@@ -25,10 +28,32 @@ const SnapshotWriteSet::RowOp* SnapshotView::OwnOpFor(const std::string& table,
 
 Status SnapshotView::Scan(
     const std::string& table,
-    const std::function<void(RowId, const Tuple&)>& fn) const {
+    const std::function<void(RowId, const Tuple&)>& fn,
+    const Expr& where) const {
+  // The store's index knows only installed images, so a bounded scan may
+  // skip a row whose buffered image matches. Those rows are merged back in
+  // row-id order; each was visible in the snapshot when it was rewritten,
+  // and the snapshot does not change.
+  std::vector<RowId> rewritten;
+  if (where) {
+    for (const auto& op : write_set_.row_ops) {
+      if (op.table == table && op.row != 0) rewritten.push_back(op.row);
+    }
+    std::sort(rewritten.begin(), rewritten.end());
+    rewritten.erase(std::unique(rewritten.begin(), rewritten.end()),
+                    rewritten.end());
+  }
+  auto next = rewritten.begin();
+  auto emit_own = [&](RowId row) {
+    const SnapshotWriteSet::RowOp* own = OwnOpFor(table, row);
+    if (own->image) fn(row, *own->image);  // a buffered delete hides it
+  };
   Status s = store_->Scan(
       table, ReadView::Snapshot(start_ts_),
       [&](RowId row, const Tuple& t, std::optional<TxnId>) {
+        for (; next != rewritten.end() && *next <= row; ++next) {
+          if (*next < row) emit_own(*next);
+        }
         const SnapshotWriteSet::RowOp* own = OwnOpFor(table, row);
         if (own == nullptr) {
           fn(row, t);
@@ -36,8 +61,10 @@ Status SnapshotView::Scan(
           fn(row, *own->image);
         }
         // own buffered delete: row invisible
-      });
+      },
+      where);
   if (!s.ok()) return s;
+  for (; next != rewritten.end(); ++next) emit_own(*next);
   // Own inserts, with synthetic row ids.
   RowId synthetic = kOwnRowBase;
   for (const auto& op : write_set_.row_ops) {

@@ -31,8 +31,11 @@ class SnapshotView {
 
   /// Scans the table as seen by this transaction: the snapshot overlaid
   /// with the transaction's own buffered row operations and inserts.
+  /// `where` bounds the scan as in Store::Scan; rows the transaction has
+  /// rewritten are visited whatever the hint says.
   Status Scan(const std::string& table,
-              const std::function<void(RowId, const Tuple&)>& fn) const;
+              const std::function<void(RowId, const Tuple&)>& fn,
+              const Expr& where = nullptr) const;
 
   /// Buffers row mutations. `row` must be visible in this view; rows the
   /// transaction inserted itself have synthetic ids (kOwnRowBase + index).

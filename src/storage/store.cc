@@ -1,5 +1,7 @@
 #include "storage/store.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace semcor {
@@ -31,6 +33,7 @@ Result<RowId> Store::LoadRow(const std::string& table, Tuple tuple) {
   Status valid = it->second.schema().Validate(tuple);
   if (!valid.ok()) return valid;
   const RowId row = it->second.NextRowId();
+  it->second.IndexImage(row, tuple);
   RowEntry entry;
   entry.versions.push_back({0, std::move(tuple)});
   it->second.mutable_rows().emplace(row, std::move(entry));
@@ -114,6 +117,9 @@ Status Store::UndoRowWrite(TxnId txn, const std::string& table, RowId row,
   RowEntry& entry = rit->second;
   if (entry.uncommitted_owner != txn) return Status::Ok();  // already gone
   if (prior) {
+    // The prior image may predate the index, which saw only the image it
+    // replaces.
+    it->second.IndexImage(row, *prior);
     entry.uncommitted = *prior;
     return Status::Ok();
   }
@@ -147,6 +153,7 @@ Result<RowId> Store::InsertRowUncommitted(TxnId txn, const std::string& table,
   Status valid = it->second.schema().Validate(tuple);
   if (!valid.ok()) return valid;
   const RowId row = it->second.NextRowId();
+  it->second.IndexImage(row, tuple);
   RowEntry entry;
   entry.uncommitted_owner = txn;
   entry.uncommitted = std::move(tuple);
@@ -179,6 +186,7 @@ Status Store::WriteRowUncommitted(TxnId txn, const std::string& table,
     prior->reset();
     if (entry.uncommitted_owner == txn) *prior = entry.uncommitted;
   }
+  it->second.IndexImage(row, image);
   entry.uncommitted_owner = txn;
   entry.uncommitted = std::move(image);
   touches_[txn].rows.insert({table, row});
@@ -213,18 +221,97 @@ Result<Timestamp> Store::RowLastCommitTs(const std::string& table,
   return rit->second.LastCommitTs();
 }
 
+namespace {
+
+/// The leading `attr = constant` conjuncts of `where` whose attribute is a
+/// column of `schema`. Only a leading run counts: a row that fails one of
+/// them fails `where` before any conjunct that could raise an error is
+/// evaluated, so skipping it changes neither the rows nor the status a
+/// caller's evaluation of `where` produces.
+std::vector<std::pair<const std::string*, const Value*>> LeadingEqualities(
+    const Expr& where, const Schema& schema) {
+  std::vector<std::pair<const std::string*, const Value*>> eqs;
+  if (!where) return eqs;
+  const std::vector<Expr> single = {where};
+  const std::vector<Expr>& conjuncts =
+      where->op == Op::kAnd ? where->kids : single;
+  for (const Expr& c : conjuncts) {
+    if (c->op != Op::kEq) break;
+    const ExprNode* attr = c->kids[0].get();
+    const ExprNode* constant = c->kids[1].get();
+    if (attr->op == Op::kConst) std::swap(attr, constant);
+    if (attr->op != Op::kAttr || constant->op != Op::kConst ||
+        !schema.HasColumn(attr->attr)) {
+      break;
+    }
+    eqs.emplace_back(&attr->attr, &constant->const_val);
+  }
+  return eqs;
+}
+
+}  // namespace
+
 Status Store::Scan(
     const std::string& table, const ReadView& view,
-    const std::function<void(RowId, const Tuple&, std::optional<TxnId>)>& fn)
-    const {
+    const std::function<void(RowId, const Tuple&, std::optional<TxnId>)>& fn,
+    const Expr& where) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(table);
   if (it == tables_.end()) return Status::NotFound(StrCat("table ", table));
+  const TableData& data = it->second;
   const ReadView v = view;  // a local the callback cannot alias
   std::optional<TxnId> writer;
-  for (const auto& [row, entry] : it->second.rows()) {
+  const auto eqs = LeadingEqualities(where, data.schema());
+  if (eqs.empty()) {
+    for (const auto& [row, entry] : data.rows()) {
+      const std::optional<Tuple>* image = entry.Visible(v, &writer);
+      if (image != nullptr && image->has_value()) fn(row, **image, writer);
+    }
+    return Status::Ok();
+  }
+  // The smallest bucket bounds the rows that can satisfy every conjunct.
+  const std::set<RowId>* bucket = nullptr;
+  for (const auto& [attr, value] : eqs) {
+    const std::set<RowId>& b = data.Bucket(*attr, *value);
+    if (bucket == nullptr || b.size() < bucket->size()) bucket = &b;
+  }
+  // Rows with a pending image are visited whatever they show: a locking
+  // reader must wait for their writer even when neither image matches,
+  // since the writer may still write one that does.
+  std::vector<RowId> pending;
+  const std::pair<std::string, RowId> first_key(table, 0);
+  for (const auto& [txn, touched] : touches_) {
+    for (auto t = touched.rows.lower_bound(first_key);
+         t != touched.rows.end() && t->first == table; ++t) {
+      pending.push_back(t->second);
+    }
+  }
+  std::sort(pending.begin(), pending.end());
+  pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
+  const auto visit = [&](RowId row) {
+    auto rit = data.rows().find(row);
+    if (rit == data.rows().end()) return;  // erased since it was indexed
+    const RowEntry& entry = rit->second;
     const std::optional<Tuple>* image = entry.Visible(v, &writer);
-    if (image != nullptr && image->has_value()) fn(row, **image, writer);
+    if (image == nullptr || !image->has_value()) return;
+    if (!entry.uncommitted_owner) {
+      for (const auto& [attr, value] : eqs) {
+        auto a = (*image)->find(*attr);
+        if (a == (*image)->end() || a->second != *value) return;
+      }
+    }
+    fn(row, **image, writer);
+  };
+  // Merge the two ascending id lists.
+  auto b = bucket->begin();
+  auto p = pending.begin();
+  while (b != bucket->end() || p != pending.end()) {
+    if (p == pending.end() || (b != bucket->end() && *b < *p)) {
+      visit(*b++);
+    } else {
+      if (b != bucket->end() && *b == *p) ++b;
+      visit(*p++);
+    }
   }
   return Status::Ok();
 }
@@ -336,6 +423,7 @@ Result<Timestamp> Store::SnapshotCommit(TxnId txn, const SnapshotWriteSet& ws,
         RowEntry entry;
         entry.versions.push_back({ts, *op.image});
         const RowId fresh = table.NextRowId();
+        table.IndexImage(fresh, op.image);
         table.mutable_rows().emplace(fresh, std::move(entry));
         if (applied != nullptr) {
           applied->rows.push_back({op.table, fresh, *op.image});
@@ -343,6 +431,7 @@ Result<Timestamp> Store::SnapshotCommit(TxnId txn, const SnapshotWriteSet& ws,
       }
       continue;
     }
+    table.IndexImage(op.row, op.image);
     table.mutable_rows().at(op.row).versions.push_back({ts, op.image});
     if (applied != nullptr) applied->rows.push_back({op.table, op.row, op.image});
   }
@@ -440,6 +529,7 @@ Status Store::RecoveryApply(const TxnEffects& effects, Timestamp commit_ts) {
     }
     RowEntry& entry = it->second.mutable_rows()[w.row];
     entry.versions.push_back({commit_ts, w.image});
+    it->second.IndexImage(w.row, w.image);
     it->second.BumpNextRowId(w.row + 1);
   }
   Timestamp cur = clock_.load();
@@ -462,6 +552,7 @@ size_t Store::PruneVersionsBefore(Timestamp horizon) {
   };
   for (auto& [name, entry] : items_) prune(entry.versions);
   for (auto& [name, table] : tables_) {
+    table.DropIndex();  // rebuilt from the surviving images on demand
     auto& rows = table.mutable_rows();
     for (auto it = rows.begin(); it != rows.end();) {
       prune(it->second.versions);

@@ -141,9 +141,18 @@ class Store {
 
   /// Calls `fn` on every row that shows a tuple under `view`, with the
   /// writer the view reports (see ReadView), in row-id order.
+  ///
+  /// `where` (optional) is the statement's closed predicate, a hint that
+  /// bounds the scan: when it leads with `attr = constant` conjuncts over
+  /// the table's columns, only rows whose image satisfies those conjuncts,
+  /// plus every row with a pending image, reach `fn`. The rows skipped are
+  /// exactly those `where` rejects on its leading conjuncts, so a caller
+  /// that applies `where` itself acts on the same rows, in the same order,
+  /// as with the full scan. Without such conjuncts this is the full scan.
   Status Scan(const std::string& table, const ReadView& view,
               const std::function<void(RowId, const Tuple&,
-                                       std::optional<TxnId>)>& fn) const;
+                                       std::optional<TxnId>)>& fn,
+              const Expr& where = nullptr) const;
 
   const Schema* GetSchema(const std::string& table) const;
 

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "storage/schema.h"
@@ -119,6 +121,12 @@ using RowVersion = Version<std::optional<Tuple>>;
 
 /// Versioned relational table. Not thread-safe on its own; the Store
 /// serializes access.
+///
+/// Equality index: for each attribute a bounded scan has named, value ->
+/// ids of the rows that held that value in some image ever installed,
+/// committed or pending. It is a superset for every ReadView: a row may sit
+/// in a bucket whose value it no longer shows, and an erased row's id may
+/// linger, but a row never shows a value whose bucket lacks it.
 class TableData {
  public:
   explicit TableData(Schema schema) : schema_(std::move(schema)) {}
@@ -126,6 +134,39 @@ class TableData {
   const Schema& schema() const { return schema_; }
   const std::map<RowId, RowEntry>& rows() const { return rows_; }
   std::map<RowId, RowEntry>& mutable_rows() { return rows_; }
+
+  /// Records `image` of `row` in every attribute index built so far. Every
+  /// install of a row image (load, insert, write, undo to a prior image,
+  /// snapshot commit, recovery) must call it.
+  void IndexImage(RowId row, const std::optional<Tuple>& image) {
+    for (auto& [attr, buckets] : index_) AddTo(&buckets, attr, row, image);
+  }
+
+  /// The ids of rows that may show `attr == value` under some view, in
+  /// ascending order. Builds the attribute's index from every installed
+  /// image on first use.
+  const std::set<RowId>& Bucket(const std::string& attr,
+                                const Value& value) const {
+    auto [idx, fresh] = index_.try_emplace(attr);
+    Buckets& buckets = idx->second;
+    if (fresh) {
+      for (const auto& [row, entry] : rows_) {
+        for (const RowVersion& v : entry.versions) {
+          AddTo(&buckets, attr, row, v.image);
+        }
+        if (entry.uncommitted_owner) {
+          AddTo(&buckets, attr, row, entry.uncommitted);
+        }
+      }
+    }
+    static const std::set<RowId> kNone;
+    auto bucket = buckets.find(value);
+    return bucket == buckets.end() ? kNone : bucket->second;
+  }
+
+  /// Forgets every attribute index; the next bounded scan rebuilds what it
+  /// names from the images that remain.
+  void DropIndex() { index_.clear(); }
 
   RowId NextRowId() { return next_row_id_++; }
 
@@ -137,9 +178,21 @@ class TableData {
   }
 
  private:
+  using Buckets = std::map<Value, std::set<RowId>>;
+
+  static void AddTo(Buckets* buckets, const std::string& attr, RowId row,
+                    const std::optional<Tuple>& image) {
+    if (!image) return;
+    auto it = image->find(attr);
+    if (it != image->end()) (*buckets)[it->second].insert(row);
+  }
+
   Schema schema_;
   std::map<RowId, RowEntry> rows_;
   RowId next_row_id_ = 1;
+  /// attr -> value -> row ids. Mutable: a const scan builds it lazily, under
+  /// the Store's mutex like everything else here.
+  mutable std::map<std::string, Buckets> index_;
 };
 
 }  // namespace semcor

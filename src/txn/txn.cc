@@ -166,7 +166,8 @@ Status TxnManager::LockingSelect(
             if (IsRollingBack(*writer)) ++txn->undo_dirty_reads;
           }
           fn(row, t);
-        });
+        },
+        pred);
     if (!s.ok()) return s;
     return inner;
   }
@@ -194,7 +195,8 @@ Status TxnManager::LockingSelect(
           if (match.value() || pending) {
             candidates.push_back({row, t, pending});
           }
-        });
+        },
+        pred);
     if (!s.ok()) return s;
     if (!inner.ok()) return inner;
   }
@@ -246,7 +248,8 @@ Status TxnManager::LockMatchingRows(
             return;
           }
           if (match.value()) candidates.push_back(row);
-        });
+        },
+        pred);
     if (!s.ok()) return s;
     if (!inner.ok()) return inner;
   }
@@ -280,15 +283,18 @@ Status TxnManager::SelectRows(Txn* txn, const std::string& table,
     }
     MapEvalContext empty;
     Status inner = Status::Ok();
-    Status s = txn->snapshot->Scan(table, [&](RowId, const Tuple& t) {
-      if (!inner.ok()) return;
-      Result<bool> match = EvalTuplePred(pred, t, empty);
-      if (!match.ok()) {
-        inner = match.status();
-        return;
-      }
-      if (match.value()) out->push_back(t);
-    });
+    Status s = txn->snapshot->Scan(
+        table,
+        [&](RowId, const Tuple& t) {
+          if (!inner.ok()) return;
+          Result<bool> match = EvalTuplePred(pred, t, empty);
+          if (!match.ok()) {
+            inner = match.status();
+            return;
+          }
+          if (match.value()) out->push_back(t);
+        },
+        pred);
     if (!s.ok()) return s;
     if (!inner.ok()) return inner;
     if (txn->policy.ssi) return ssi_.OnPredRead(txn->id, table, pred);
@@ -350,15 +356,18 @@ Status TxnManager::UpdateRows(Txn* txn, const std::string& table,
     }
     std::vector<std::pair<RowId, Tuple>> matches;
     Status inner = Status::Ok();
-    Status s = txn->snapshot->Scan(table, [&](RowId row, const Tuple& t) {
-      if (!inner.ok()) return;
-      Result<bool> match = EvalTuplePred(pred, t, empty);
-      if (!match.ok()) {
-        inner = match.status();
-        return;
-      }
-      if (match.value()) matches.emplace_back(row, t);
-    });
+    Status s = txn->snapshot->Scan(
+        table,
+        [&](RowId row, const Tuple& t) {
+          if (!inner.ok()) return;
+          Result<bool> match = EvalTuplePred(pred, t, empty);
+          if (!match.ok()) {
+            inner = match.status();
+            return;
+          }
+          if (match.value()) matches.emplace_back(row, t);
+        },
+        pred);
     if (!s.ok()) return s;
     if (!inner.ok()) return inner;
     if (txn->policy.ssi) {
@@ -458,15 +467,18 @@ Status TxnManager::DeleteRows(Txn* txn, const std::string& table,
     }
     std::vector<std::pair<RowId, Tuple>> matches;
     Status inner = Status::Ok();
-    Status s = txn->snapshot->Scan(table, [&](RowId row, const Tuple& t) {
-      if (!inner.ok()) return;
-      Result<bool> match = EvalTuplePred(pred, t, empty);
-      if (!match.ok()) {
-        inner = match.status();
-        return;
-      }
-      if (match.value()) matches.emplace_back(row, t);
-    });
+    Status s = txn->snapshot->Scan(
+        table,
+        [&](RowId row, const Tuple& t) {
+          if (!inner.ok()) return;
+          Result<bool> match = EvalTuplePred(pred, t, empty);
+          if (!match.ok()) {
+            inner = match.status();
+            return;
+          }
+          if (match.value()) matches.emplace_back(row, t);
+        },
+        pred);
     if (!s.ok()) return s;
     if (!inner.ok()) return inner;
     if (txn->policy.ssi) {

@@ -111,7 +111,9 @@ class TxnManager {
   Status SelectRows(Txn* txn, const std::string& table, const Expr& pred,
                     std::vector<Tuple>* out, bool wait);
   /// Full-scan visibility for aggregate evaluation (same discipline as
-  /// SelectRows with predicate `true`).
+  /// SelectRows with predicate `true`). It stays a full scan: at REPEATABLE
+  /// READ and SERIALIZABLE the S lock on every row it reads is part of the
+  /// level's semantics for the aggregate.
   Status ScanVisible(Txn* txn, const std::string& table,
                      const std::function<void(const Tuple&)>& fn, bool wait);
   /// UPDATE ... SET sets WHERE pred. Set expressions may reference Attr()
@@ -168,7 +170,8 @@ class TxnManager {
  private:
   /// Streams rows matching `pred` under the level's read-lock discipline
   /// (locks are taken only on matching rows, per the paper's "long locks on
-  /// tuples returned by the SELECT").
+  /// tuples returned by the SELECT"). `pred` also bounds the store scan
+  /// (Store::Scan's hint); the rows examined and locked are the same.
   Status LockingSelect(Txn* txn, const std::string& table, const Expr& pred,
                        bool wait,
                        const std::function<void(RowId, const Tuple&)>& fn);

@@ -23,7 +23,7 @@
 
 #include "common/rng.h"
 #include "lock/lock_manager.h"
-#include "lock/ref_lock_manager.h"
+#include "ref_lock_manager.h"
 
 namespace semcor {
 namespace {

@@ -1,4 +1,4 @@
-#include "lock/ref_lock_manager.h"
+#include "ref_lock_manager.h"
 
 #include <chrono>
 #include <functional>

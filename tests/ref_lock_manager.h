@@ -1,5 +1,5 @@
-#ifndef SEMCOR_LOCK_REF_LOCK_MANAGER_H_
-#define SEMCOR_LOCK_REF_LOCK_MANAGER_H_
+#ifndef SEMCOR_TESTS_REF_LOCK_MANAGER_H_
+#define SEMCOR_TESTS_REF_LOCK_MANAGER_H_
 
 #include <condition_variable>
 #include <functional>
@@ -92,4 +92,4 @@ class RefLockManager {
 
 }  // namespace semcor
 
-#endif  // SEMCOR_LOCK_REF_LOCK_MANAGER_H_
+#endif  // SEMCOR_TESTS_REF_LOCK_MANAGER_H_

@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "sem/expr/eval.h"
 #include "txn/txn.h"
 
 namespace semcor {
@@ -233,6 +234,144 @@ TEST_F(TxnManagerTest, AbortReleasesEverything) {
   mgr_.Abort(t.get());
   EXPECT_EQ(locks_.HeldCount(t->id), 0u);
   EXPECT_EQ(store_.ReadItem("y", ReadView::Committed()).value().AsInt(), 20);
+}
+
+// The reference for a statement's row set: a scan with no hint, filtered
+// by the predicate.
+std::vector<Tuple> FullScanRows(const Store& store, const ReadView& view,
+                                const Expr& pred) {
+  std::vector<Tuple> rows;
+  MapEvalContext empty;
+  EXPECT_TRUE(store
+                  .Scan("T", view,
+                        [&](RowId, const Tuple& t, std::optional<TxnId>) {
+                          if (EvalTuplePred(pred, t, empty).value()) {
+                            rows.push_back(t);
+                          }
+                        })
+                  .ok());
+  return rows;
+}
+
+Tuple Kv(int64_t k, int64_t v) {
+  return {{"k", Value::Int(k)}, {"v", Value::Int(v)}};
+}
+
+// SelectRows, UpdateRows and DeleteRows bound their store scans by their
+// predicate; at every level they must still return the full scan's rows,
+// take the same locks, wait for the same pending writers (including one
+// whose image matches neither before nor after) and count the same dirty
+// reads.
+TEST(BoundedStatementTest, EveryLevelActsOnTheFullScanRows) {
+  struct Want {
+    IsoLevel level;
+    Code pending_select;  ///< SELECT past a non-matching pending image
+    size_t held_blocked;  ///< row locks held when that SELECT returns
+    size_t held_read;     ///< after the SELECT succeeds
+    size_t held_written;  ///< after the UPDATE and the DELETE
+    Code dirty_select;    ///< SELECT of a row mid-rollback
+    size_t dirty_rows;    ///< rows it returns
+    long dirty_reads;     ///< dirty_reads and undo_dirty_reads it counts
+  };
+  const Code kOk = Code::kOk;
+  const Code kBlock = Code::kWouldBlock;
+  const Want wants[] = {
+      {IsoLevel::kReadUncommitted, kOk, 0, 0, 3, kOk, 1, 1},
+      {IsoLevel::kReadCommitted, kBlock, 0, 0, 3, kBlock, 0, 0},
+      {IsoLevel::kReadCommittedFcw, kBlock, 0, 0, 3, kBlock, 0, 0},
+      {IsoLevel::kRepeatableRead, kBlock, 3, 3, 3, kBlock, 0, 0},
+      {IsoLevel::kSerializable, kBlock, 3, 3, 3, kBlock, 0, 0},
+      {IsoLevel::kSnapshot, kOk, 0, 0, 0, kOk, 0, 0},
+      {IsoLevel::kSsi, kOk, 0, 0, 0, kOk, 0, 0},
+  };
+  const Expr k1 = Eq(Attr("k"), Lit(int64_t{1}));
+  const Expr pred = And(k1, Ge(Attr("v"), Lit(int64_t{0})));
+  for (const Want& want : wants) {
+    SCOPED_TRACE(IsoLevelName(want.level));
+    Store store;
+    LockManager locks;
+    TxnManager mgr(&store, &locks);
+    ASSERT_TRUE(store
+                    .CreateTable("T", Schema({{"k", Value::Type::kInt},
+                                              {"v", Value::Type::kInt}}))
+                    .ok());
+    for (const Tuple& t : {Kv(1, 5), Kv(2, 6), Kv(1, 7), Kv(3, 8)}) {
+      ASSERT_TRUE(store.LoadRow("T", t).ok());
+    }
+    std::vector<Tuple> rows;
+    // A first bounded read builds the k index; row 2 then moves into k = 1
+    // by a committed update the index must record.
+    auto first = mgr.Begin(IsoLevel::kReadCommitted);
+    ASSERT_TRUE(mgr.SelectRows(first.get(), "T", pred, &rows, false).ok());
+    EXPECT_EQ(rows.size(), 2u);
+    ASSERT_TRUE(mgr.Commit(first.get()).ok());
+    auto mover = mgr.Begin(IsoLevel::kReadCommitted);
+    ASSERT_TRUE(mgr.UpdateRows(mover.get(), "T", Eq(Attr("k"), Lit(int64_t{2})),
+                               {{"k", Lit(int64_t{1})}}, false, nullptr)
+                    .ok());
+    ASSERT_TRUE(mgr.Commit(mover.get()).ok());
+
+    // Row 4's pending image matches neither before nor after.
+    auto foreign = mgr.Begin(IsoLevel::kReadCommitted);
+    ASSERT_TRUE(mgr.UpdateRows(foreign.get(), "T",
+                               Eq(Attr("k"), Lit(int64_t{3})),
+                               {{"v", Lit(int64_t{9})}}, false, nullptr)
+                    .ok());
+    auto t = mgr.Begin(want.level);
+    Status s = mgr.SelectRows(t.get(), "T", pred, &rows, false);
+    EXPECT_EQ(s.code(), want.pending_select);
+    EXPECT_EQ(locks.HeldCount(t->id), want.held_blocked);
+    if (s.ok()) {
+      EXPECT_EQ(rows, FullScanRows(store, ReadView::Latest(), pred));
+    }
+    mgr.Abort(foreign.get());
+
+    ASSERT_TRUE(mgr.SelectRows(t.get(), "T", pred, &rows, false).ok());
+    const std::vector<Tuple> matching =
+        FullScanRows(store, ReadView::Committed(), pred);
+    EXPECT_EQ(matching.size(), 3u);
+    EXPECT_EQ(rows, matching);
+    EXPECT_EQ(locks.HeldCount(t->id), want.held_read);
+    // The update moves the rows to k = 4, where only this transaction's
+    // own (pending or buffered) images put them.
+    int updated = 0;
+    ASSERT_TRUE(mgr.UpdateRows(t.get(), "T", pred,
+                               {{"k", Lit(int64_t{4})},
+                                {"v", Add(Attr("v"), Lit(int64_t{100}))}},
+                               false, &updated)
+                    .ok());
+    EXPECT_EQ(updated, 3);
+    int deleted = 0;
+    ASSERT_TRUE(mgr.DeleteRows(t.get(), "T",
+                               And(Eq(Attr("k"), Lit(int64_t{4})),
+                                   Gt(Attr("v"), Lit(int64_t{100}))),
+                               false, &deleted)
+                    .ok());
+    EXPECT_EQ(deleted, 3);
+    EXPECT_EQ(locks.HeldCount(t->id), want.held_written);
+    EXPECT_EQ(t->dirty_reads, 0);
+    ASSERT_TRUE(mgr.Commit(t.get()).ok());
+    EXPECT_EQ(FullScanRows(store, ReadView::Committed(), True()),
+              std::vector<Tuple>{Kv(3, 8)});
+
+    // Row 4 moves into k = 1 under a writer that is rolling back.
+    auto undoing = mgr.Begin(IsoLevel::kReadCommitted);
+    ASSERT_TRUE(mgr.UpdateRows(undoing.get(), "T",
+                               Eq(Attr("k"), Lit(int64_t{3})),
+                               {{"k", Lit(int64_t{1})}}, false, nullptr)
+                    .ok());
+    mgr.BeginRollback(undoing.get());
+    auto reader = mgr.Begin(want.level);
+    s = mgr.SelectRows(reader.get(), "T", k1, &rows, false);
+    EXPECT_EQ(s.code(), want.dirty_select);
+    if (s.ok()) {
+      EXPECT_EQ(rows.size(), want.dirty_rows);
+    }
+    EXPECT_EQ(reader->dirty_reads, want.dirty_reads);
+    EXPECT_EQ(reader->undo_dirty_reads, want.dirty_reads);
+    mgr.FinishRollback(undoing.get());
+    mgr.Abort(reader.get());
+  }
 }
 
 TEST(SsiConcurrencyTest, WriteSkewNeverCommitsWhileBeginsRaceCommits) {
