@@ -97,12 +97,13 @@ done
 # cross-thread mutation, so their batteries — plus the executor, fault,
 # network-server and chaos-proxy suites that drive them from worker threads —
 # must come up race-free. So must the store, whose const bounded scans build
-# the equality index under its mutex while writers install images.
+# the equality index under its mutex while writers install images, and the
+# transaction manager, whose bounded aggregates race concurrent inserts.
 cmake -B build-tsan -S . -DSEMCOR_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target lock_test lock_shard_test \
-    executor_test fault_test net_test wal_test chaos_test storage_test
+    executor_test fault_test net_test wal_test chaos_test storage_test txn_test
 for t in lock_test lock_shard_test executor_test fault_test net_test wal_test \
-    chaos_test storage_test; do
+    chaos_test storage_test txn_test; do
   ./build-tsan/tests/"$t"
 done
 

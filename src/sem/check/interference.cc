@@ -4,6 +4,7 @@
 #include "sem/check/wp.h"
 #include "sem/expr/simplify.h"
 #include "sem/expr/subst.h"
+#include "sem/logic/memo.h"
 #include "sem/prog/concrete_exec.h"
 
 namespace semcor {
@@ -257,10 +258,12 @@ InterferenceResult InterferenceChecker::RefuteStmt(const Expr& p,
     fo.seed += static_cast<uint64_t>(round) * 7919;
     if (wp.ok()) {
       std::optional<MapEvalContext> model =
-          FindModel(Simplify(And(phi, Not(wp.value().formula))), shapes_, fo);
+          FindModel(Simplify(And(phi, Not(wp.value().formula))), shapes_, fo,
+                    options_.decide.memo.get());
       if (model) candidates.push_back(*model);
     }
-    std::optional<MapEvalContext> model = FindModel(phi, shapes_, fo);
+    std::optional<MapEvalContext> model =
+        FindModel(phi, shapes_, fo, options_.decide.memo.get());
     if (model) candidates.push_back(*model);
   }
   for (MapEvalContext& ctx : candidates) {
@@ -329,11 +332,13 @@ InterferenceResult InterferenceChecker::RefuteTxn(
     fo.seed += static_cast<uint64_t>(round) * 104729;
     // Pre-states that symbolically lead to a violation along some path.
     for (size_t i = 0; i < failing_path_formulas.size() && i < 3; ++i) {
-      std::optional<MapEvalContext> model = FindModel(
-          Simplify(And(phi, Not(failing_path_formulas[i]))), shapes_, fo);
+      std::optional<MapEvalContext> model =
+          FindModel(Simplify(And(phi, Not(failing_path_formulas[i]))), shapes_,
+                    fo, options_.decide.memo.get());
       if (model) states.push_back(*model);
     }
-    std::optional<MapEvalContext> model = FindModel(phi, shapes_, fo);
+    std::optional<MapEvalContext> model =
+        FindModel(phi, shapes_, fo, options_.decide.memo.get());
     if (model) states.push_back(*model);
   }
   for (MapEvalContext& ctx : states) {

@@ -13,7 +13,7 @@ Result<Value> MapEvalContext::GetVar(const VarRef& var) const {
 }
 
 Status MapEvalContext::ScanTable(
-    const std::string& table,
+    const std::string& table, const Expr&,
     const std::function<void(const Tuple&)>& fn) const {
   auto it = tables_.find(table);
   if (it == tables_.end()) {
@@ -178,7 +178,7 @@ Result<Value> EvalRec(const Expr& e, const EvalContext& ctx,
     case Op::kCount: {
       int64_t count = 0;
       Status inner = Status::Ok();
-      Status s = ctx.ScanTable(e->table, [&](const Tuple& t) {
+      Status s = ctx.ScanTable(e->table, e->kids[0], [&](const Tuple& t) {
         if (!inner.ok()) return;
         Result<bool> p = EvalBoolRec(e->kids[0], ctx, &t);
         if (!p.ok()) {
@@ -199,7 +199,7 @@ Result<Value> EvalRec(const Expr& e, const EvalContext& ctx,
       int64_t acc = is_sum ? 0 : e->dflt;
       bool any = false;
       Status inner = Status::Ok();
-      Status s = ctx.ScanTable(e->table, [&](const Tuple& t) {
+      Status s = ctx.ScanTable(e->table, e->kids[0], [&](const Tuple& t) {
         if (!inner.ok()) return;
         Result<bool> p = EvalBoolRec(e->kids[0], ctx, &t);
         if (!p.ok()) {
@@ -230,7 +230,7 @@ Result<Value> EvalRec(const Expr& e, const EvalContext& ctx,
     case Op::kExists: {
       bool found = false;
       Status inner = Status::Ok();
-      Status s = ctx.ScanTable(e->table, [&](const Tuple& t) {
+      Status s = ctx.ScanTable(e->table, e->kids[0], [&](const Tuple& t) {
         if (found || !inner.ok()) return;
         Result<bool> p = EvalBoolRec(e->kids[0], ctx, &t);
         if (!p.ok()) {
@@ -244,9 +244,11 @@ Result<Value> EvalRec(const Expr& e, const EvalContext& ctx,
       return Value::Bool(found);
     }
     case Op::kForall: {
+      // The range (kids[0]) bounds the scan, never the body: a row outside
+      // the body's equalities is exactly one that can falsify it.
       bool holds = true;
       Status inner = Status::Ok();
-      Status s = ctx.ScanTable(e->table, [&](const Tuple& t) {
+      Status s = ctx.ScanTable(e->table, e->kids[0], [&](const Tuple& t) {
         if (!holds || !inner.ok()) return;
         Result<bool> p = EvalBoolRec(e->kids[0], ctx, &t);
         if (!p.ok()) {

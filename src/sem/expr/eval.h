@@ -24,8 +24,19 @@ class EvalContext {
   virtual Result<Value> GetVar(const VarRef& var) const = 0;
 
   /// Calls `fn` on every tuple of `table`; NotFound if no such table.
+  ///
+  /// `bound` is the tuple predicate the caller applies to each tuple (an
+  /// aggregate's range; nullptr for none). A context may leave out tuples
+  /// that fail one of its leading `attr = value` conjuncts: the caller
+  /// rejects those before evaluating anything that could fail or read the
+  /// database, so its value and status stay the same. A context that
+  /// reads through locks must still show every tuple whose reading the
+  /// level's semantics records (the transaction manager bounds aggregates
+  /// except at REPEATABLE READ and SERIALIZABLE, whose long S lock on every
+  /// row read is part of the aggregate's meaning). `bound` may refer to
+  /// local and logical variables; contexts close it over their own values.
   virtual Status ScanTable(
-      const std::string& table,
+      const std::string& table, const Expr& bound,
       const std::function<void(const Tuple&)>& fn) const = 0;
 };
 
@@ -55,7 +66,8 @@ class MapEvalContext : public EvalContext {
   }
 
   Result<Value> GetVar(const VarRef& var) const override;
-  Status ScanTable(const std::string& table,
+  /// Ignores `bound`: every tuple of the table is shown.
+  Status ScanTable(const std::string& table, const Expr& bound,
                    const std::function<void(const Tuple&)>& fn) const override;
 
   const std::map<VarRef, Value>& vars() const { return vars_; }

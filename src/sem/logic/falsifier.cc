@@ -200,7 +200,7 @@ class ModelState : public EvalContext {
     return Status::NotFound(StrCat("unbound variable ", var.ToString()));
   }
 
-  Status ScanTable(const std::string& name,
+  Status ScanTable(const std::string& name, const Expr&,
                    const std::function<void(const Tuple&)>& fn) const override {
     for (const Table& table : tables_) {
       if (table.name != name) continue;

@@ -55,4 +55,53 @@ uint64_t DecideOptionsSig(const DecideOptions& options) {
   return h;
 }
 
+namespace {
+
+/// Everything besides the constraint that FindModel's result depends on.
+uint64_t FindModelSig(const SchemaShapes& shapes,
+                      const FalsifierOptions& options) {
+  uint64_t h = HashCombine(0x30de1, static_cast<uint64_t>(options.attempts));
+  h = HashCombine(h, static_cast<uint64_t>(options.value_min));
+  h = HashCombine(h, static_cast<uint64_t>(options.value_max));
+  h = HashCombine(h, static_cast<uint64_t>(options.max_rows));
+  h = HashCombine(h, options.seed);
+  for (const std::string& s : options.string_pool) h = HashString(s, h);
+  h = HashCombine(h, options.string_pool.size());
+  for (const auto& [var, type] : options.var_types) {
+    h = HashCombine(h, static_cast<uint64_t>(var.kind));
+    h = HashString(var.name, h);
+    h = HashCombine(h, static_cast<uint64_t>(type));
+  }
+  h = HashCombine(h, options.var_types.size());
+  for (const auto& [table, shape] : shapes) {
+    h = HashString(table, h);
+    for (const auto& [attr, type] : shape.attrs) {
+      h = HashString(attr, h);
+      h = HashCombine(h, static_cast<uint64_t>(type));
+    }
+    h = HashCombine(h, shape.attrs.size());
+  }
+  return HashCombine(h, shapes.size());
+}
+
+}  // namespace
+
+std::optional<MapEvalContext> FindModel(const Expr& constraint,
+                                        const SchemaShapes& shapes,
+                                        const FalsifierOptions& options,
+                                        DecisionMemo* memo) {
+  if (memo == nullptr) return FindModel(constraint, shapes, options);
+  uint64_t hash = 0;
+  const Expr canonical = memo->Canonicalize(constraint, &hash);
+  const uint64_t sig = FindModelSig(shapes, options);
+  DecisionMemo::CachedDecision cached;
+  if (memo->Lookup(DecisionMemo::Query::kModel, canonical, hash, sig,
+                   &cached)) {
+    return cached.model;
+  }
+  cached.model = FindModel(canonical, shapes, options);
+  memo->Insert(DecisionMemo::Query::kModel, canonical, hash, sig, cached);
+  return cached.model;
+}
+
 }  // namespace semcor

@@ -9,8 +9,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sem/expr/eval.h"
 #include "sem/expr/hash.h"
 #include "sem/logic/decide.h"
+#include "sem/logic/falsifier.h"
 
 namespace semcor {
 
@@ -34,7 +36,12 @@ struct MemoStats {
 /// behaviour bit-for-bit.
 class DecisionMemo {
  public:
-  enum class Query : uint8_t { kValidity = 0, kUnsat = 1, kSat = 2 };
+  enum class Query : uint8_t {
+    kValidity = 0,
+    kUnsat = 1,
+    kSat = 2,
+    kModel = 3,
+  };
 
   struct CachedDecision {
     /// kValidity: the full result (verdict, counterexample, detail).
@@ -43,6 +50,8 @@ class DecisionMemo {
     bool boolean = false;
     /// kSat: the witness, when one was found.
     std::optional<std::map<VarRef, int64_t>> witness;
+    /// kModel: FindModel's model, when one was found.
+    std::optional<MapEvalContext> model;
   };
 
   DecisionMemo() = default;
@@ -83,6 +92,15 @@ class DecisionMemo {
 
 /// Signature of the option fields that change decision outcomes.
 uint64_t DecideOptionsSig(const DecideOptions& options);
+
+/// FindModel through `memo` (a plain search when null). The search is
+/// deterministic in its constraint, shapes and options (the seed included),
+/// so the memo keys on the canonical constraint plus a signature of the
+/// rest and a repeated search returns the model a fresh one would.
+std::optional<MapEvalContext> FindModel(const Expr& constraint,
+                                        const SchemaShapes& shapes,
+                                        const FalsifierOptions& options,
+                                        DecisionMemo* memo);
 
 }  // namespace semcor
 

@@ -44,7 +44,7 @@ Status ExecuteStmt(const Stmt& stmt, MapEvalContext* ctx,
       // Ensure the table exists so the scan succeeds on fresh states.
       ctx->MutableTable(stmt.table);
       Status inner = Status::Ok();
-      Status s = ctx->ScanTable(stmt.table, [&](const Tuple& t) {
+      Status s = ctx->ScanTable(stmt.table, stmt.pred, [&](const Tuple& t) {
         if (!inner.ok()) return;
         Result<bool> p = EvalTuplePred(stmt.pred, t, *ctx);
         if (!p.ok()) {

@@ -44,7 +44,7 @@ class ActualStateCtx : public EvalContext {
     return Status::Internal("bad var kind");
   }
 
-  Status ScanTable(const std::string& table,
+  Status ScanTable(const std::string& table, const Expr&,
                    const std::function<void(const Tuple&)>& fn) const override {
     // Snapshot txns buffer row ops privately; their committed view
     // approximates what they assert.

@@ -24,6 +24,20 @@ const char* StepOutcomeName(StepOutcome outcome) {
 
 namespace {
 
+/// Substitutes the transaction's locals & logicals by literal values (closing
+/// predicates). Database items stay variables: reading one takes a lock.
+Expr CloseOverLocals(const Txn& txn, const Expr& e) {
+  if (!e) return e;
+  std::map<VarRef, Expr> subst;
+  for (const auto& [name, value] : txn.locals) {
+    subst.emplace(VarRef{VarKind::kLocal, name}, LitV(value));
+  }
+  for (const auto& [name, value] : txn.logicals) {
+    subst.emplace(VarRef{VarKind::kLogical, name}, LitV(value));
+  }
+  return SubstituteAll(e, subst);
+}
+
 /// Evaluation context that routes database access through the transaction
 /// manager (so reads take locks / hit the snapshot per the txn's level).
 class TxnEvalContext : public EvalContext {
@@ -57,9 +71,11 @@ class TxnEvalContext : public EvalContext {
     return Status::Internal("bad var kind");
   }
 
-  Status ScanTable(const std::string& table,
+  /// The bound reaches the store closed over locals and logicals only.
+  Status ScanTable(const std::string& table, const Expr& bound,
                    const std::function<void(const Tuple&)>& fn) const override {
-    return mgr_->ScanVisible(txn_, table, fn, wait_);
+    return mgr_->ScanVisible(txn_, table, CloseOverLocals(*txn_, bound), fn,
+                             wait_);
   }
 
  private:
@@ -89,7 +105,7 @@ class LocalCtx : public EvalContext {
     return it->second;
   }
 
-  Status ScanTable(const std::string&,
+  Status ScanTable(const std::string&, const Expr&,
                    const std::function<void(const Tuple&)>&) const override {
     return Status::InvalidArgument("guards may not scan tables");
   }
@@ -140,18 +156,6 @@ Expr ProgramRun::ActiveAssertion() const {
   const Stmt* current = CurrentStmt();
   return current != nullptr && current->pre ? current->pre
                                             : program_->Postcondition();
-}
-
-Expr ProgramRun::CloseOverLocals(const Expr& e) const {
-  if (!e) return e;
-  std::map<VarRef, Expr> subst;
-  for (const auto& [name, value] : txn_->locals) {
-    subst.emplace(VarRef{VarKind::kLocal, name}, LitV(value));
-  }
-  for (const auto& [name, value] : txn_->logicals) {
-    subst.emplace(VarRef{VarKind::kLogical, name}, LitV(value));
-  }
-  return SubstituteAll(e, subst);
 }
 
 Result<bool> ProgramRun::EvalGuard(const Expr& guard) {
@@ -207,7 +211,7 @@ Status ProgramRun::ExecStmt(const Stmt& stmt, bool wait) {
       return Status::Ok();
     }
     case StmtKind::kSelectRows: {
-      const Expr closed = CloseOverLocals(stmt.pred);
+      const Expr closed = CloseOverLocals(*txn_, stmt.pred);
       std::vector<Tuple> rows;
       Status s = mgr_->SelectRows(txn_.get(), stmt.table, closed, &rows, wait);
       if (!s.ok()) return s;
@@ -219,11 +223,11 @@ Status ProgramRun::ExecStmt(const Stmt& stmt, bool wait) {
     case StmtKind::kUpdate: {
       std::map<std::string, Expr> closed_sets;
       for (const auto& [attr, e] : stmt.sets) {
-        closed_sets[attr] = CloseOverLocals(e);
+        closed_sets[attr] = CloseOverLocals(*txn_, e);
       }
       return mgr_->UpdateRows(txn_.get(), stmt.table,
-                              CloseOverLocals(stmt.pred), closed_sets, wait,
-                              nullptr);
+                              CloseOverLocals(*txn_, stmt.pred), closed_sets,
+                              wait, nullptr);
     }
     case StmtKind::kInsert: {
       Tuple tuple;
@@ -236,7 +240,7 @@ Status ProgramRun::ExecStmt(const Stmt& stmt, bool wait) {
     }
     case StmtKind::kDelete:
       return mgr_->DeleteRows(txn_.get(), stmt.table,
-                              CloseOverLocals(stmt.pred), wait, nullptr);
+                              CloseOverLocals(*txn_, stmt.pred), wait, nullptr);
     case StmtKind::kAbort:
       user_aborted_ = true;
       return Status::Aborted("explicit abort statement");

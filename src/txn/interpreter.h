@@ -117,8 +117,6 @@ class ProgramRun {
   /// evaluation errors.
   Status SettleFrames();
   Result<bool> EvalGuard(const Expr& guard);
-  /// Substitutes locals & logicals by literal values (closing predicates).
-  Expr CloseOverLocals(const Expr& e) const;
 
   TxnManager* mgr_;
   std::shared_ptr<const TxnProgram> program_;

@@ -143,8 +143,8 @@ Status TxnManager::WriteItem(Txn* txn, const std::string& name, const Value& v,
 }
 
 Status TxnManager::LockingSelect(
-    Txn* txn, const std::string& table, const Expr& pred, bool wait,
-    const std::function<void(RowId, const Tuple&)>& fn) {
+    Txn* txn, const std::string& table, const Expr& pred, const Expr& bound,
+    bool wait, const std::function<void(RowId, const Tuple&)>& fn) {
   MapEvalContext empty;
   // READ UNCOMMITTED scans take no locks and see dirty data. The scan also
   // reports each image's pending writer so the dirty reads (and mid-rollback
@@ -167,7 +167,7 @@ Status TxnManager::LockingSelect(
           }
           fn(row, t);
         },
-        pred);
+        bound);
     if (!s.ok()) return s;
     return inner;
   }
@@ -196,7 +196,7 @@ Status TxnManager::LockingSelect(
             candidates.push_back({row, t, pending});
           }
         },
-        pred);
+        bound);
     if (!s.ok()) return s;
     if (!inner.ok()) return inner;
   }
@@ -306,11 +306,12 @@ Status TxnManager::SelectRows(Txn* txn, const std::string& table,
     if (!s.ok()) return s;
   }
   out->clear();  // a try-lock retry restarts the statement from scratch
-  return LockingSelect(txn, table, pred, wait,
+  return LockingSelect(txn, table, pred, pred, wait,
                        [&](RowId, const Tuple& t) { out->push_back(t); });
 }
 
 Status TxnManager::ScanVisible(Txn* txn, const std::string& table,
+                               const Expr& bound,
                                const std::function<void(const Tuple&)>& fn,
                                bool wait) {
   if (txn->snapshot) {
@@ -318,8 +319,8 @@ Status TxnManager::ScanVisible(Txn* txn, const std::string& table,
       Status gate = ssi_.Gate(txn->id);
       if (!gate.ok()) return gate;
     }
-    Status s = txn->snapshot->Scan(table,
-                                   [&](RowId, const Tuple& t) { fn(t); });
+    Status s = txn->snapshot->Scan(
+        table, [&](RowId, const Tuple& t) { fn(t); }, bound);
     if (!s.ok()) return s;
     if (txn->policy.ssi) return ssi_.OnPredRead(txn->id, table, True());
     return Status::Ok();
@@ -329,7 +330,10 @@ Status TxnManager::ScanVisible(Txn* txn, const std::string& table,
                                         LockMode::kShared, wait);
     if (!s.ok()) return s;
   }
-  return LockingSelect(txn, table, True(), wait,
+  // Long read locks lock every row the scan shows, so only a full scan
+  // locks the rows the level's aggregate reads.
+  return LockingSelect(txn, table, True(),
+                       txn->policy.long_read_locks ? Expr() : bound, wait,
                        [&](RowId, const Tuple& t) { fn(t); });
 }
 

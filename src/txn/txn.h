@@ -110,11 +110,19 @@ class TxnManager {
   /// row by row, plus an S predicate lock at SERIALIZABLE.
   Status SelectRows(Txn* txn, const std::string& table, const Expr& pred,
                     std::vector<Tuple>* out, bool wait);
-  /// Full-scan visibility for aggregate evaluation (same discipline as
-  /// SelectRows with predicate `true`). It stays a full scan: at REPEATABLE
-  /// READ and SERIALIZABLE the S lock on every row it reads is part of the
-  /// level's semantics for the aggregate.
-  Status ScanVisible(Txn* txn, const std::string& table,
+  /// Row visibility for aggregate evaluation: the discipline of SelectRows
+  /// with predicate `true`, so every row shown is read (and, above READ
+  /// UNCOMMITTED, locked) as that SELECT would. `bound` is the aggregate's
+  /// closed range predicate; like Store::Scan's hint it leaves out clean
+  /// rows that fail its leading `attr = constant` conjuncts, which the
+  /// aggregate rejects before reading anything else. Rows with a pending
+  /// image are still shown, so the same writers are waited for and the
+  /// same dirty reads counted. At REPEATABLE READ and SERIALIZABLE the
+  /// bound is ignored and the scan stays full: the long S lock on every row
+  /// read (and SERIALIZABLE's `true` predicate lock) is the level's
+  /// semantics for the aggregate. Snapshot levels bound the snapshot scan;
+  /// SSI still records the read as the predicate `true`.
+  Status ScanVisible(Txn* txn, const std::string& table, const Expr& bound,
                      const std::function<void(const Tuple&)>& fn, bool wait);
   /// UPDATE ... SET sets WHERE pred. Set expressions may reference Attr()
   /// of the old tuple; locals must already be substituted.
@@ -170,10 +178,11 @@ class TxnManager {
  private:
   /// Streams rows matching `pred` under the level's read-lock discipline
   /// (locks are taken only on matching rows, per the paper's "long locks on
-  /// tuples returned by the SELECT"). `pred` also bounds the store scan
-  /// (Store::Scan's hint); the rows examined and locked are the same.
+  /// tuples returned by the SELECT"). `bound` is the store scan's hint
+  /// (Store::Scan); a SELECT passes its own predicate, so the rows examined
+  /// and locked are the same as with the full scan.
   Status LockingSelect(Txn* txn, const std::string& table, const Expr& pred,
-                       bool wait,
+                       const Expr& bound, bool wait,
                        const std::function<void(RowId, const Tuple&)>& fn);
 
   /// Write-side phase 1: X-locks every row matching `pred` and returns the

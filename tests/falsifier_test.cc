@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "sem/logic/falsifier.h"
+#include "sem/logic/memo.h"
 
 namespace semcor {
 namespace {
@@ -93,6 +94,47 @@ TEST(FalsifierTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(m2.has_value());
   EXPECT_EQ(m1->GetVar({VarKind::kDb, "x"}).value(),
             m2->GetVar({VarKind::kDb, "x"}).value());
+}
+
+// A memoized search returns the model (or the absence of one) the uncached
+// search finds, and a different seed, shape or option is a different query.
+TEST(FalsifierTest, MemoReturnsTheUncachedModel) {
+  const Expr found = And(
+      Ge(Local("today"), Lit(int64_t{1})),
+      Exists("ORDERS", And(Eq(Attr("deliv_date"), Local("today")),
+                           Eq(Attr("done"), Lit(false)))));
+  const Expr none = And(Gt(DbVar("x"), Lit(int64_t{3})),
+                        Lt(DbVar("x"), Lit(int64_t{2})));
+  FalsifierOptions options;
+  options.attempts = 500;
+  DecisionMemo memo;
+  auto same = [](const std::optional<MapEvalContext>& a,
+                 const std::optional<MapEvalContext>& b) {
+    if (a.has_value() != b.has_value()) return false;
+    return !a || (a->vars() == b->vars() && a->tables() == b->tables());
+  };
+  for (uint64_t seed : {1, 2, 3}) {
+    options.seed = seed;
+    for (const Expr& f : {found, none}) {
+      const auto want = FindModel(f, OrdersShape(), options);
+      EXPECT_TRUE(same(FindModel(f, OrdersShape(), options, &memo), want));
+      EXPECT_TRUE(same(FindModel(f, OrdersShape(), options, &memo), want));
+    }
+  }
+  EXPECT_TRUE(FindModel(found, OrdersShape(), options).has_value());
+  EXPECT_FALSE(FindModel(none, OrdersShape(), options).has_value());
+  MemoStats stats = memo.Stats();
+  EXPECT_EQ(stats.misses, 6);
+  EXPECT_EQ(stats.hits, 6);
+  // Another shape set or option is a miss, not the cached answer.
+  EXPECT_TRUE(same(FindModel(found, {}, options, &memo),
+                   FindModel(found, {}, options)));
+  options.max_rows = 1;
+  EXPECT_TRUE(same(FindModel(found, OrdersShape(), options, &memo),
+                   FindModel(found, OrdersShape(), options)));
+  stats = memo.Stats();
+  EXPECT_EQ(stats.misses, 8);
+  EXPECT_EQ(stats.hits, 6);
 }
 
 // ---- reference: a fresh MapEvalContext per attempt ----
